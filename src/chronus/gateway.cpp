@@ -13,8 +13,10 @@ std::shared_ptr<ChronusGateway> ChronusGateway::Wire(
                                            const std::string& binary_hash) {
     return config_service->Run(system_hash, binary_hash);
   };
-  gateway->system_hash = [procfs] {
-    return sysinfo::HashToString(procfs->SystemHash());
+  // VirtualProcFs has no mutator, so the identity is fixed at wiring: hash
+  // it once instead of re-rendering /proc/cpuinfo on every submit.
+  gateway->system_hash = [hash = sysinfo::HashToString(procfs->SystemHash())] {
+    return hash;
   };
   gateway->state = [settings_service] { return settings_service->GetState(); };
   return gateway;

@@ -3,12 +3,18 @@
 // The cluster simulator, the IPMI sampler, and Chronus's benchmark loop all
 // share one virtual clock. Events are (time, sequence, callback) tuples; ties
 // break in insertion order so simulations are deterministic.
+//
+// The queue is an indexed binary heap of small {when, seq, slot} entries over
+// a slot table that owns the callbacks. Each slot knows its heap position, so
+// Cancel() removes the event eagerly in O(log n): there are no tombstones,
+// and empty()/pending() are the heap size. Ids are opaque
+// (generation << 32 | slot, never 0); a slot's generation moves on whenever
+// its event fires or is cancelled, so a stale id never matches the slot's
+// next occupant.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace eco {
@@ -36,14 +42,13 @@ class EventQueue {
   std::size_t RunAll();
 
   [[nodiscard]] SimTime now() const { return now_; }
-  [[nodiscard]] bool empty() const { return live_ids_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return live_ids_.size(); }
-  // Timestamp of the next live (non-cancelled) event; `fallback` when the
-  // queue is empty. Drops cancelled tombstones as a side effect.
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  // Timestamp of the next pending event; `fallback` when the queue is empty.
   [[nodiscard]] SimTime PeekNextTime(SimTime fallback = 0.0);
 
  private:
-  struct Event {
+  struct Entry {
     SimTime when;
     // Monotone insertion counter. This is the determinism contract: events
     // scheduled at the same timestamp fire strictly in the order they were
@@ -51,21 +56,33 @@ class EventQueue {
     // (regression-tested in test_sched_index.cpp). Batch submission and
     // deferred dispatch both rely on it.
     std::uint64_t seq;
-    std::uint64_t id;
-    Callback cb;
-    bool operator>(const Event& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
+    std::uint32_t slot;
+    bool operator<(const Entry& other) const {
+      if (when != other.when) return when < other.when;
+      return seq < other.seq;
     }
   };
+  struct Slot {
+    Callback cb;
+    std::uint32_t generation = 1;
+    std::uint32_t heap_pos = kFree;
+  };
+  static constexpr std::uint32_t kFree = ~std::uint32_t{0};
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
-  // Ids of scheduled events that have neither fired nor been cancelled.
-  // Cancelled events stay in the priority queue and are dropped when popped.
-  std::unordered_set<std::uint64_t> live_ids_;
+  // Removes heap_[pos], restoring the heap property around the hole.
+  void RemoveAt(std::uint32_t pos);
+  // Hands `slot` back to the free list and retires its current id.
+  void Release(std::uint32_t slot);
+  void SiftUp(std::uint32_t pos);
+  void SiftDown(std::uint32_t pos);
+  // Writes `e` into heap_[pos] and records the position in its slot.
+  void Place(std::uint32_t pos, const Entry& e);
+
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
 };
 
 }  // namespace eco

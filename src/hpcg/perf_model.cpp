@@ -189,28 +189,47 @@ double HpcgPerfModel::Gflops(int cores, KiloHertz f, bool ht) const {
 }
 
 double HpcgPerfModel::MeanUtilization(int cores, KiloHertz f, bool ht) const {
+  return MeanUtilizationFrom(Gflops(cores, f, ht), cores, f);
+}
+
+double HpcgPerfModel::MeanUtilizationFrom(double gflops, int cores,
+                                          KiloHertz f) const {
   // Issue density: achieved FLOPS over compute capability. Memory-bound runs
   // stall often, but stalled cores still clock — the power model's stall
   // fraction covers that; here we only report the issue-rate component.
   const double f_ghz = KiloHertzToGHz(f);
   const double capacity =
       std::max(1e-9, cores * params_.compute_gflops_per_ghz * f_ghz);
-  const double density = Gflops(cores, f, ht) / capacity;
+  const double density = gflops / capacity;
   // HPCG never idles a core outright; clamp into a plausible band.
   return std::clamp(0.55 + 0.45 * std::min(1.0, density), 0.0, 1.0);
 }
 
+HpcgPerfModel::OperatingPoint HpcgPerfModel::OperatingPointFor(
+    int cores, KiloHertz f, bool ht) const {
+  OperatingPoint op;
+  op.gflops = Gflops(cores, f, ht);
+  op.mean_utilization = MeanUtilizationFrom(op.gflops, cores, f);
+  op.phase_amplitude =
+      params_.phase_amp_base +
+      params_.phase_amp_per_ghz_above_knee *
+          std::max(0.0, KiloHertzToGHz(f) - params_.knee_ghz);
+  return op;
+}
+
 double HpcgPerfModel::UtilizationAt(double t_seconds, int cores, KiloHertz f,
                                     bool ht) const {
-  const double mean = MeanUtilization(cores, f, ht);
-  const double f_ghz = KiloHertzToGHz(f);
-  const double amp =
-      params_.phase_amp_base +
-      params_.phase_amp_per_ghz_above_knee * std::max(0.0, f_ghz - params_.knee_ghz);
+  return UtilizationAt(t_seconds, OperatingPointFor(cores, f, ht));
+}
+
+double HpcgPerfModel::UtilizationAt(double t_seconds,
+                                    const OperatingPoint& op) const {
   const double phase =
       std::sin(2.0 * M_PI * t_seconds / params_.phase_period_s) * 0.5 +
       std::sin(2.0 * M_PI * t_seconds / (params_.phase_period_s * 0.37)) * 0.5;
-  return std::clamp(mean * (1.0 - amp * (0.5 + 0.5 * phase)), 0.0, 1.0);
+  return std::clamp(
+      op.mean_utilization * (1.0 - op.phase_amplitude * (0.5 + 0.5 * phase)),
+      0.0, 1.0);
 }
 
 double HpcgPerfModel::TotalFlops(const HpcgProblem& problem, int cores,

@@ -141,6 +141,21 @@ class HpcgPerfModel {
   [[nodiscard]] double UtilizationAt(double t_seconds, int cores, KiloHertz f,
                                      bool ht) const;
 
+  // The time-independent part of a (cores, f, ht) configuration, so a
+  // simulated run can evaluate it once per frequency instead of once per
+  // tick. Built from the same expressions as the per-call functions above,
+  // so both paths return the same bits.
+  struct OperatingPoint {
+    double gflops = 0.0;            // Gflops(cores, f, ht)
+    double mean_utilization = 0.0;  // MeanUtilization(cores, f, ht)
+    double phase_amplitude = 0.0;   // depth of the CG phase modulation
+  };
+  [[nodiscard]] OperatingPoint OperatingPointFor(int cores, KiloHertz f,
+                                                 bool ht) const;
+  // UtilizationAt(t, cores, f, ht) for the configuration `op` describes.
+  [[nodiscard]] double UtilizationAt(double t_seconds,
+                                     const OperatingPoint& op) const;
+
   // Total FLOPs of a weak-scaled run: `cores` ranks × local problem ×
   // `iterations` CG iterations, at the official HPCG flop accounting.
   [[nodiscard]] static double TotalFlops(const HpcgProblem& problem, int cores,
@@ -167,6 +182,9 @@ class HpcgPerfModel {
   bool CalibrateFrom(const KernelCalibration& cal);
 
  private:
+  [[nodiscard]] double MeanUtilizationFrom(double gflops, int cores,
+                                           KiloHertz f) const;
+
   PerfModelParams params_;
   double scale_;  // A in the formula, derived from the reference point
 };

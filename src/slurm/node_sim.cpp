@@ -34,7 +34,7 @@ double NodeSim::UtilizationAt(SimTime t) const {
   if (!running_) return 0.0;
   switch (workload_.kind) {
     case WorkloadSpec::Kind::kHpcg:
-      return perf_model_.UtilizationAt(t - start_time_, tasks_, freq_, ht_);
+      return perf_model_.UtilizationAt(t - start_time_, op_);
     case WorkloadSpec::Kind::kFixedDuration:
       return workload_.fixed_utilization;
   }
@@ -84,7 +84,7 @@ Status NodeSim::StartJob(const JobRecord& job, int tasks,
   } else {
     dvfs_ = hw::DvfsPolicy(cpu, params_.default_governor);
   }
-  freq_ = dvfs_.frequency();
+  SetFrequency(dvfs_.frequency());
 
   if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
     total_work_flops_ =
@@ -99,6 +99,13 @@ Status NodeSim::StartJob(const JobRecord& job, int tasks,
   ECO_DEBUG << "node " << name_ << ": job " << job_id_ << " started, tasks="
             << tasks_ << " freq=" << freq_ << " ht=" << ht_;
   return Status::Ok();
+}
+
+void NodeSim::SetFrequency(KiloHertz f) {
+  freq_ = f;
+  if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
+    op_ = perf_model_.OperatingPointFor(tasks_, freq_, ht_);
+  }
 }
 
 void NodeSim::Accrue(double dt) {
@@ -122,16 +129,17 @@ void NodeSim::Tick(SimTime now) {
   const double dt = now - last_update_;
 
   // Progress at the frequency in force during [last_update_, now).
-  double rate_flops = 0.0;
   if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
-    rate_flops = perf_model_.Gflops(tasks_, freq_, ht_) * 1e9;
-    progress_flops_ += rate_flops * dt;
+    progress_flops_ += op_.gflops * 1e9 * dt;
   }
   Accrue(dt);
   last_update_ = now;
 
-  // Governor reacts to the utilization it just observed.
-  freq_ = dvfs_.Step(UtilizationAt(now));
+  // Governor reacts to the utilization it just observed; only ondemand
+  // reads it.
+  const bool ondemand = dvfs_.governor() == hw::Governor::kOndemand;
+  const KiloHertz next = dvfs_.Step(ondemand ? UtilizationAt(now) : 0.0);
+  if (next != freq_) SetFrequency(next);
 
   // Completion?
   bool done = false;
@@ -178,8 +186,7 @@ RunStats NodeSim::CancelJob() {
   if (!running_) return RunStats{};
   const SimTime now = queue_->now();
   if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
-    progress_flops_ += perf_model_.Gflops(tasks_, freq_, ht_) * 1e9 *
-                       (now - last_update_);
+    progress_flops_ += op_.gflops * 1e9 * (now - last_update_);
   }
   Accrue(now - last_update_);
   last_update_ = now;

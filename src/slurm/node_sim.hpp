@@ -13,6 +13,12 @@
 // dynamics (e.g. ondemand bouncing between levels) genuinely change runtime
 // and energy — not just an average. The node implements ipmi::PowerSource,
 // so a BmcSimulator attached to it sees the same signals a real BMC would.
+//
+// The time-independent part of the HPCG model (GFLOPS, mean utilization,
+// phase amplitude) is an operating point computed once per run and again
+// only when the governor actually changes the frequency; a tick evaluates
+// just the time-varying phase. The governor samples utilization only under
+// `ondemand`, the one governor that reads it.
 #pragma once
 
 #include <functional>
@@ -119,6 +125,8 @@ class NodeSim : public ipmi::PowerSource {
   void Tick(SimTime now);
   // Instantaneous utilization of the running workload at sim time `t`.
   [[nodiscard]] double UtilizationAt(SimTime t) const;
+  // Switches the run to frequency `f`, re-deriving the operating point.
+  void SetFrequency(KiloHertz f);
   // Accrues dt seconds of power/thermal/energy at the current settings.
   void Accrue(double dt);
   [[nodiscard]] RunStats FinalStats() const;
@@ -145,6 +153,8 @@ class NodeSim : public ipmi::PowerSource {
   bool ht_ = false;
   bool pinned_ = false;
   KiloHertz freq_ = 0;
+  // The HPCG model at (tasks_, freq_, ht_); only valid for kHpcg runs.
+  hpcg::HpcgPerfModel::OperatingPoint op_{};
   SimTime start_time_ = 0.0;
   double total_work_flops_ = 0.0;  // kHpcg
   double progress_flops_ = 0.0;

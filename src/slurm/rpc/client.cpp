@@ -45,6 +45,14 @@ void SubmitClient::Disconnect() {
   in_start_ = 0;
 }
 
+void SubmitClient::ShutdownOnError() {
+  // Not Disconnect(): a sender thread may be inside SendBatch on this
+  // descriptor, and a closed number could be handed to another open. The
+  // shutdown fails its send instead; the descriptor stays ours until
+  // Disconnect() or the destructor.
+  ::shutdown(fd_, SHUT_RDWR);
+}
+
 Status SubmitClient::SendBatch(const JobRequest* requests, std::size_t count,
                                std::uint64_t base_seq) {
   if (fd_ < 0) return Status::Error("submit client: not connected");
@@ -98,12 +106,12 @@ Status SubmitClient::ReadFrame(FrameType want, FrameView* frame) {
     const DecodeResult rc =
         NextFrame(in_.data(), in_.size(), frame, &consumed, &error);
     if (rc == DecodeResult::kError) {
-      Disconnect();
+      ShutdownOnError();
       return Status::Error("submit client: protocol error: " + error);
     }
     if (rc == DecodeResult::kFrame) {
       if (frame->type != want) {
-        Disconnect();
+        ShutdownOnError();
         return Status::Error("submit client: unexpected frame type");
       }
       in_start_ = consumed;
@@ -118,7 +126,7 @@ Status SubmitClient::ReadFrame(FrameType want, FrameView* frame) {
     }
     in_.resize(old_size);
     if (r < 0 && errno == EINTR) continue;
-    Disconnect();
+    ShutdownOnError();
     return Status::Error(r == 0 ? "submit client: server closed connection"
                                 : "submit client: recv failed");
   }

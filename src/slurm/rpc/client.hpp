@@ -7,6 +7,13 @@
 // tool sends one and waits. Replies arrive in frame order — the protocol
 // has no request ids because TCP ordering plus the server's in-order
 // reply batching already provide them.
+//
+// Threading: one thread may SendBatch while one other thread calls
+// ReadReply (a storm client's generator and receiver). Everything else —
+// Connect, Disconnect, Ping, SubmitAndWait, moves, destruction — needs the
+// client to itself. A failed read shuts the connection down in both
+// directions, so a concurrent SendBatch fails too, but leaves the
+// descriptor open until Disconnect() or the destructor closes it.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +37,8 @@ class SubmitClient {
 
   Status Connect(const std::string& address, std::uint16_t port);
   void Disconnect();
+  // True from a successful Connect() until Disconnect(), including after a
+  // failed read has shut the connection down.
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
   // Encodes requests[i] with seq = base_seq + i (base_seq == kAutoSeqWire:
@@ -63,6 +72,8 @@ class SubmitClient {
   // Blocks until a complete frame of `want` type is buffered; fills *frame
   // (viewing in_) and consumes it from the stream on the NEXT call.
   Status ReadFrame(FrameType want, FrameView* frame);
+  // Failure path of ReadFrame: shuts the socket down without closing it.
+  void ShutdownOnError();
 
   int fd_ = -1;
   std::vector<char> in_;

@@ -12,6 +12,7 @@
 #include "common/log.hpp"
 #include "plugin/job_submit_eco.hpp"
 #include "slurm/sbatch.hpp"
+#include "sysinfo/simple_hash.hpp"
 
 namespace eco::chronus {
 namespace {
@@ -163,6 +164,12 @@ TEST_F(ServicesTest, SlurmConfigPredictsFromPreloadedModelOnly) {
 
   // Unknown binary -> clean failure.
   EXPECT_FALSE(env_.slurm_config->Run(system_hash, "deadbeef").ok());
+}
+
+TEST_F(ServicesTest, GatewaySystemHashIsTheProcfsIdentityAndStable) {
+  const std::string expected = sysinfo::HashToString(env_.procfs->SystemHash());
+  EXPECT_EQ(env_.gateway->system_hash(), expected);
+  EXPECT_EQ(env_.gateway->system_hash(), expected);
 }
 
 TEST_F(ServicesTest, SettingsServiceStateRoundTrip) {

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "chronus/domain.hpp"
 #include "chronus/minidb.hpp"
@@ -180,10 +182,20 @@ TEST(MiniDb, InMemoryFlushIsNoop) {
 
 using RepoFactory = std::function<RepositoryPtr()>;
 
-class RepositoryContract
-    : public ::testing::TestWithParam<std::pair<const char*, RepoFactory>> {
+struct Backend {
+  const char* name;
+  RepoFactory make;
+};
+
+// gtest prints the parameter into every case's listed name, which ctest
+// adopts as the test name. The default printer would show the name's
+// pointer and the std::function's bytes, which differ on every run under
+// ASLR; print the backend name so the test names stay the same.
+void PrintTo(const Backend& backend, std::ostream* os) { *os << backend.name; }
+
+class RepositoryContract : public ::testing::TestWithParam<Backend> {
  protected:
-  RepositoryPtr repo_ = GetParam().second();
+  RepositoryPtr repo_ = GetParam().make();
 
   SystemRecord MakeSystem(const std::string& hash = "hash-1") {
     SystemRecord system;
@@ -295,20 +307,18 @@ TEST_P(RepositoryContract, ModelMetaLifecycle) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, RepositoryContract,
     ::testing::Values(
-        std::make_pair("memory",
-                       RepoFactory([] {
-                         return std::make_shared<MiniDbRepository>("");
-                       })),
-        std::make_pair("minidb_file",
-                       RepoFactory([] {
-                         return std::make_shared<MiniDbRepository>(
-                             FreshDir("repo_minidb") + "/data.db");
-                       })),
-        std::make_pair("csv", RepoFactory([] {
-                         return std::make_shared<CsvRepository>(
-                             FreshDir("repo_csv"));
-                       }))),
-    [](const auto& info) { return info.param.first; });
+        Backend{"memory",
+                [] { return std::make_shared<MiniDbRepository>(""); }},
+        Backend{"minidb_file",
+                [] {
+                  return std::make_shared<MiniDbRepository>(
+                      FreshDir("repo_minidb") + "/data.db");
+                }},
+        Backend{"csv",
+                [] {
+                  return std::make_shared<CsvRepository>(FreshDir("repo_csv"));
+                }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(MiniDbRepository, ReloadsFromDisk) {
   const std::string path = FreshDir("repo_reload") + "/data.db";

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -7,6 +8,7 @@
 
 #include "common/json.hpp"
 #include "hpcg/perf_model.hpp"
+#include "hw/cpu_spec.hpp"
 #include "hw/power_model.hpp"
 
 namespace eco::hpcg {
@@ -243,6 +245,66 @@ TEST(KernelCalibration, AppliesThroughEnvFile) {
   std::remove(path.c_str());
 
   EXPECT_FALSE(KernelCalibration::FromFile("/no/such/artifact.json").ok());
+}
+
+// ------------------------------------------------------- Operating point
+
+// The per-call utilization formula written out from public parameters: the
+// reference both the per-call and the operating-point path must hit bit for
+// bit.
+double ReferenceUtilizationAt(const HpcgPerfModel& model, double t, int cores,
+                              KiloHertz f, bool ht) {
+  const PerfModelParams& p = model.params();
+  const double f_ghz = KiloHertzToGHz(f);
+  const double capacity =
+      std::max(1e-9, cores * p.compute_gflops_per_ghz * f_ghz);
+  const double density = model.Gflops(cores, f, ht) / capacity;
+  const double mean =
+      std::clamp(0.55 + 0.45 * std::min(1.0, density), 0.0, 1.0);
+  const double amp = p.phase_amp_base + p.phase_amp_per_ghz_above_knee *
+                                            std::max(0.0, f_ghz - p.knee_ghz);
+  const double phase =
+      std::sin(2.0 * M_PI * t / p.phase_period_s) * 0.5 +
+      std::sin(2.0 * M_PI * t / (p.phase_period_s * 0.37)) * 0.5;
+  return std::clamp(mean * (1.0 - amp * (0.5 + 0.5 * phase)), 0.0, 1.0);
+}
+
+TEST(PerfModelOperatingPoint, BitIdenticalToPerCallFunctions) {
+  const Result<KernelCalibration> cal =
+      KernelCalibration::FromArtifact(FakeRooflineArtifact());
+  ASSERT_TRUE(cal.ok());
+  HpcgPerfModel calibrated{PerfModelParams::Epyc7502P()};
+  ASSERT_TRUE(calibrated.CalibrateFrom(*cal));
+  const HpcgPerfModel models[] = {HpcgPerfModel{PerfModelParams::Epyc7502P()},
+                                  calibrated};
+  const hw::CpuSpec cpus[] = {hw::MachineSpec::Epyc7502P().cpu,
+                              hw::MachineSpec::XeonGold6230().cpu};
+  const double times[] = {0.0, 0.5, 1.0, 7.0, 16.65, 44.9, 123.4, 86399.0};
+
+  std::size_t checked = 0;
+  for (const HpcgPerfModel& model : models) {
+    for (const hw::CpuSpec& cpu : cpus) {
+      for (int cores = 1; cores <= cpu.cores; ++cores) {
+        for (const KiloHertz f : cpu.available_frequencies) {
+          for (const bool ht : {false, true}) {
+            const auto op = model.OperatingPointFor(cores, f, ht);
+            EXPECT_EQ(op.gflops, model.Gflops(cores, f, ht));
+            EXPECT_EQ(op.mean_utilization, model.MeanUtilization(cores, f, ht));
+            for (const double t : times) {
+              const double expected =
+                  ReferenceUtilizationAt(model, t, cores, f, ht);
+              EXPECT_EQ(model.UtilizationAt(t, op), expected)
+                  << cores << " cores @ " << f << " kHz ht=" << ht
+                  << " t=" << t;
+              EXPECT_EQ(model.UtilizationAt(t, cores, f, ht), expected);
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 TEST(PerfModelGuards, InvalidReferenceFallsBackToDefaults) {

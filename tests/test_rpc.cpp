@@ -448,6 +448,44 @@ TEST(SubdServer, ClosedIngressRejectsOverTheWire) {
             1u);
 }
 
+TEST(SubmitClient, DroppedConnectionFailsConcurrentSendAndReadCleanly) {
+  // A bare listener stands in for a server that dies mid-storm.
+  auto listener = ListenOn("127.0.0.1", 0, 1, /*nonblocking=*/false);
+  ASSERT_TRUE(listener.ok()) << listener.message();
+  SubmitClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", listener->port).ok());
+  const int peer = ::accept(listener->fd, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+
+  // A storm client's split: one sender thread, one receiver thread.
+  Status read_status;
+  std::thread receiver([&] {
+    std::vector<SubmitReplyEntry> replies;
+    read_status = client.ReadReply(&replies);
+  });
+  Status send_status;
+  std::thread sender([&] {
+    const std::vector<JobRequest> one{MakeRequest(0)};
+    for (int i = 0; i < 1'000'000 && send_status.ok(); ++i) {
+      send_status = client.SendBatch(one);
+    }
+  });
+
+  // Let the sender get going, then drop the connection without replying.
+  char sink[4096];
+  ASSERT_GT(::recv(peer, sink, sizeof(sink), 0), 0);
+  CloseFd(peer);
+  receiver.join();
+  sender.join();
+  CloseFd(listener->fd);
+
+  EXPECT_FALSE(read_status.ok());
+  EXPECT_FALSE(send_status.ok());
+  EXPECT_TRUE(client.connected());  // shut down, not closed, until told
+  client.Disconnect();
+  EXPECT_FALSE(client.connected());
+}
+
 // ------------------------------------------------------------ pump weave
 
 // The wire-oriented MakeRequest above exercises every codec field, some of

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "slurm/cluster.hpp"
 #include "slurm/energy_market.hpp"
@@ -112,6 +113,39 @@ TEST(NodeSim, CancelReturnsPartialStatsAndFreesNode) {
   EXPECT_GT(partial.system_joules, 0.0);
   queue.RunAll();
   EXPECT_FALSE(completion_fired);
+}
+
+// An HPCG run whose governor moves the frequency mid-run: a deep phase
+// modulation and a tiny compute capability swing utilization between ~0.3
+// and 1.0, so ondemand steps down and jumps back up. The energy books are
+// pinned to the values the per-tick model evaluation produced, so caching
+// the operating point per frequency must not move a single bit.
+TEST(NodeSim, OndemandFrequencyChangesKeepHpcgEnergyBooksBitExact) {
+  EventQueue queue;
+  NodeParams params = FastNodeParams();
+  params.default_governor = hw::Governor::kOndemand;
+  params.perf.phase_amp_base = 0.7;
+  params.perf.compute_gflops_per_ghz = 0.01;
+  NodeSim node("n0", params, &queue);
+  JobRecord job = MakeHpcgJob(1, 8, 0, 2, 300);
+  job.request.cpu_freq_min = job.request.cpu_freq_max = 0;
+  RunStats stats;
+  ASSERT_TRUE(node.StartJob(job, 8, [&](JobId, const RunStats& s) {
+                    stats = s;
+                  }).ok());
+  std::set<KiloHertz> seen;
+  for (int t = 0; t < 600; ++t) {
+    queue.ScheduleAt(t + 0.5, [&](SimTime) {
+      if (!node.idle()) seen.insert(node.current_frequency());
+    });
+  }
+  queue.RunAll();
+  EXPECT_EQ(seen.size(), 3u);  // every level of the EPYC ladder
+  EXPECT_EQ(stats.seconds, 264.0);
+  EXPECT_EQ(stats.system_joules, 0x1.e6a2e57b200afp+14);
+  EXPECT_EQ(stats.cpu_joules, 0x1.6285caf64016bp+13);
+  EXPECT_EQ(stats.gflops, 0x1.9436709b8f1efp+1);
+  EXPECT_EQ(stats.avg_cpu_temp, 0x1.227d7d7a5de73p+5);
 }
 
 TEST(NodeSim, FixedDurationWorkloadEndsOnTime) {
