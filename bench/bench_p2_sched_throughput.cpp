@@ -3,7 +3,7 @@
 //
 // The workload is the drain stress case: N jobs land in one SubmitBatch at
 // t=0 on a 256-node cluster and the simulation runs until the queue is
-// empty. Durations are quantized to the node tick so completions arrive in
+// empty. Durations are quantized to a minute so completions arrive in
 // waves and each wave triggers exactly one (deferred) scheduling pass —
 // the pass cost itself is what differs between the engines. Legacy pays a
 // full priority recompute + sort of the whole remaining queue per pass;
@@ -50,7 +50,9 @@ using namespace eco::slurm;
 
 constexpr int kNodes = 256;
 constexpr int kCoresPerNode = 32;
-constexpr double kTickSeconds = 60.0;
+// Job durations are whole multiples of this: a workload property that makes
+// completions arrive in waves.
+constexpr double kDurationQuantumS = 60.0;
 constexpr int kGateScale = 100'000;
 constexpr double kGateSpeedup = 10.0;
 
@@ -65,14 +67,14 @@ void Check(bool ok, const std::string& what) {
 
 // The drain backlog: fixed-duration fillers and wide blockers only (HPCG
 // jobs exercise the perf model, not the scheduler), durations quantized to
-// the node tick, arrivals discarded — everything lands at t=0.
+// kDurationQuantumS, arrivals discarded — everything lands at t=0.
 std::vector<JobRequest> MakeBacklog(int count) {
   WorkloadMix mix;
   mix.hpcg_share = 0.0;
   mix.wide_share = 0.2;
   mix.wide_nodes = 4;
   mix.users = 16;
-  mix.duration_quantum_s = kTickSeconds;
+  mix.duration_quantum_s = kDurationQuantumS;
   mix.seed = 20'260'805;
   auto generated = GenerateWorkload(mix, count, kCoresPerNode, 1);
   std::vector<JobRequest> requests;
@@ -93,7 +95,6 @@ DrainResult RunDrain(bool legacy, const std::vector<JobRequest>& backlog,
                      double ts_resolution_s = 0.0) {
   ClusterConfig config;
   config.nodes = kNodes;
-  config.node.tick_seconds = kTickSeconds;
   config.use_legacy_scheduler = legacy;
   config.defer_dispatch = true;  // one scheduling pass per completion wave
   // Slurm's bf_max_job_test: bound the backfill probe. Indexed engine only;
@@ -134,7 +135,6 @@ void WriteTrace(const std::string& path, int scale) {
   tracer.set_enabled(true);
   ClusterConfig config;
   config.nodes = kNodes;
-  config.node.tick_seconds = kTickSeconds;
   config.defer_dispatch = true;
   config.backfill_max_job_test = 100;
   config.tracer = &tracer;
@@ -176,14 +176,14 @@ void OverheadCheck(int scale) {
         "disabled-tracing drain exceeded noise bound vs baseline");
 }
 
-// One indexed drain with a time-series store sampling at the node tick,
+// One indexed drain with a time-series store sampling once per duration quantum,
 // exported as multi-resolution JSON (the power-over-time artifact CI
 // uploads next to the Chrome trace). Asserts the rollup invariant: strictly
 // monotone timestamps at every resolution.
 void WriteTimeseries(const std::string& path, int scale) {
   telemetry::TimeSeriesStore store;
   RunDrain(/*legacy=*/false, MakeBacklog(scale), nullptr, &store,
-           kTickSeconds);
+           kDurationQuantumS);
   for (const std::string& name : store.Names()) {
     for (int r = 0; r < telemetry::TimeSeries::kResolutions; ++r) {
       const auto samples = store.Samples(name, r);

@@ -45,7 +45,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kNodes = 256;
 constexpr int kCoresPerNode = 32;
-constexpr double kTickSeconds = 60.0;
+// Job durations are whole multiples of this, so completions arrive in
+// waves.
+constexpr double kDurationQuantumS = 60.0;
 constexpr int kIsolationBacklog = 100'000;
 constexpr int kProbes = 32;
 constexpr double kGateTailRatio = 10.0;
@@ -63,7 +65,6 @@ void Check(bool ok, const std::string& what) {
 ClusterConfig PartitionedConfig(int partitions) {
   ClusterConfig config;
   config.nodes = kNodes;
-  config.node.tick_seconds = kTickSeconds;
   config.defer_dispatch = true;
   config.backfill_max_job_test = 100;
   config.partitions.clear();
@@ -84,7 +85,7 @@ std::vector<JobRequest> MakeDrainBacklog(int count, int partitions) {
   mix.wide_share = 0.2;
   mix.wide_nodes = 4;
   mix.users = 16;
-  mix.duration_quantum_s = kTickSeconds;
+  mix.duration_quantum_s = kDurationQuantumS;
   mix.seed = 20'260'805;
   for (int p = 0; p < partitions; ++p) {
     mix.partitions.push_back("p" + std::to_string(p));
@@ -151,7 +152,6 @@ void RunDrain(int partitions, int count, eco::bench::BenchReport& report) {
 double RunIsolation(bool legacy, int backlog_jobs) {
   ClusterConfig config;
   config.nodes = kNodes;
-  config.node.tick_seconds = kTickSeconds;
   config.use_legacy_scheduler = legacy;
   // Inline dispatch: each Submit pays its own scheduling pass, which is
   // exactly what the probe timer must observe.

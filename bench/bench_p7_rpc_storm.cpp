@@ -57,7 +57,9 @@ using namespace eco::slurm;
 
 constexpr int kNodes = 64;
 constexpr int kCoresPerNode = 32;
-constexpr double kTickSeconds = 60.0;
+// Job durations are whole multiples of this, so completions arrive in
+// waves.
+constexpr double kDurationQuantumS = 60.0;
 constexpr double kGateSubmitsPerS = 500'000.0;
 constexpr double kGateRttP99Seconds = 0.100;
 
@@ -73,7 +75,6 @@ void Check(bool ok, const std::string& what) {
 ClusterConfig MakeConfig() {
   ClusterConfig config;
   config.nodes = kNodes;
-  config.node.tick_seconds = kTickSeconds;
   config.defer_dispatch = true;
   config.backfill_max_job_test = 100;
   return config;
@@ -88,7 +89,7 @@ std::vector<JobRequest> MakeEquivStream(int count) {
   mix.wide_share = 0.2;
   mix.wide_nodes = 4;
   mix.users = 64;
-  mix.duration_quantum_s = kTickSeconds;
+  mix.duration_quantum_s = kDurationQuantumS;
   mix.seed = 20'260'808;
   mix.qos = {"premium", "standard", "besteffort"};
   auto generated = GenerateWorkload(mix, count, kCoresPerNode, 1);
@@ -224,7 +225,7 @@ JobRequest StormRequest(std::uint64_t seq) {
   request.account = "acct-storm";
   request.user_id = 1000 + static_cast<std::uint32_t>(seq & 4095);
   request.num_tasks = 1 + static_cast<int>(seq & 7);
-  request.workload = WorkloadSpec::Fixed(kTickSeconds * (1 + (seq % 4)), 0.9);
+  request.workload = WorkloadSpec::Fixed(kDurationQuantumS * (1 + (seq % 4)), 0.9);
   request.time_limit_s = 3600.0;
   return request;
 }

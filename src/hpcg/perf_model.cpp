@@ -210,10 +210,11 @@ HpcgPerfModel::OperatingPoint HpcgPerfModel::OperatingPointFor(
   OperatingPoint op;
   op.gflops = Gflops(cores, f, ht);
   op.mean_utilization = MeanUtilizationFrom(op.gflops, cores, f);
-  op.phase_amplitude =
+  op.phase_amplitude = std::clamp(
       params_.phase_amp_base +
-      params_.phase_amp_per_ghz_above_knee *
-          std::max(0.0, KiloHertzToGHz(f) - params_.knee_ghz);
+          params_.phase_amp_per_ghz_above_knee *
+              std::max(0.0, KiloHertzToGHz(f) - params_.knee_ghz),
+      0.0, 1.0);
   return op;
 }
 
@@ -230,6 +231,15 @@ double HpcgPerfModel::UtilizationAt(double t_seconds,
   return std::clamp(
       op.mean_utilization * (1.0 - op.phase_amplitude * (0.5 + 0.5 * phase)),
       0.0, 1.0);
+}
+
+hw::Waveform HpcgPerfModel::UtilizationWave(const OperatingPoint& op) const {
+  hw::Waveform wave;
+  wave.mean = op.mean_utilization * (1.0 - 0.5 * op.phase_amplitude);
+  wave.ripple = 0.25 * op.mean_utilization * op.phase_amplitude;
+  wave.w1 = 2.0 * M_PI / params_.phase_period_s;
+  wave.w2 = 2.0 * M_PI / (params_.phase_period_s * 0.37);
+  return wave;
 }
 
 double HpcgPerfModel::TotalFlops(const HpcgProblem& problem, int cores,

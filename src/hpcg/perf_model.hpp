@@ -42,6 +42,7 @@
 #include "common/json.hpp"
 #include "common/units.hpp"
 #include "hw/cpu_spec.hpp"
+#include "hw/power_model.hpp"
 
 namespace eco::hpcg {
 
@@ -143,18 +144,24 @@ class HpcgPerfModel {
 
   // The time-independent part of a (cores, f, ht) configuration, so a
   // simulated run can evaluate it once per frequency instead of once per
-  // tick. Built from the same expressions as the per-call functions above,
+  // instant. Built from the same expressions as the per-call functions above,
   // so both paths return the same bits.
   struct OperatingPoint {
     double gflops = 0.0;            // Gflops(cores, f, ht)
     double mean_utilization = 0.0;  // MeanUtilization(cores, f, ht)
-    double phase_amplitude = 0.0;   // depth of the CG phase modulation
+    double phase_amplitude = 0.0;   // depth of the CG phase modulation,
+                                    // in [0, 1] so utilization stays in
+                                    // [0, 1] without clamping
   };
   [[nodiscard]] OperatingPoint OperatingPointFor(int cores, KiloHertz f,
                                                  bool ht) const;
   // UtilizationAt(t, cores, f, ht) for the configuration `op` describes.
   [[nodiscard]] double UtilizationAt(double t_seconds,
                                      const OperatingPoint& op) const;
+  // The same utilization as a waveform in t, for closed-form integration:
+  // mean·(1 − a/2) − (mean·a/4)·(sin w1·t + sin w2·t), w1 = 2π/period,
+  // w2 = w1/0.37.
+  [[nodiscard]] hw::Waveform UtilizationWave(const OperatingPoint& op) const;
 
   // Total FLOPs of a weak-scaled run: `cores` ranks × local problem ×
   // `iterations` CG iterations, at the official HPCG flop accounting.

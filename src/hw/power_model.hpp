@@ -16,12 +16,38 @@
 //   32 c @ 2.5 GHz (standard): ~120 W CPU, ~216 W system
 //   32 c @ 2.2 GHz (best):     ~ 97 W CPU, ~190 W system
 //   32 c @ 1.5 GHz:            ~ 175 W system
+//
+// Within a segment (tasks, frequency and HT fixed) utilization is a
+// Waveform and CpuPower is affine in it, so the package draw is a Waveform
+// too; Integrate() turns one segment into joules and °C·s in closed form.
 #pragma once
 
 #include "common/units.hpp"
 #include "hw/cpu_spec.hpp"
 
 namespace eco::hw {
+
+// v(x) = mean − ripple·(sin w1·x + sin w2·x): HPCG's CG-phase utilization
+// and, rescaled, the package draw it causes. ripple = 0 is a constant.
+struct Waveform {
+  double mean = 0.0;
+  double ripple = 0.0;
+  double w1 = 0.0;  // rad/s
+  double w2 = 0.0;
+
+  [[nodiscard]] double At(double x) const;
+  // ∫ v over [x0, x0 + len], exact.
+  [[nodiscard]] double Integral(double x0, double len) const;
+};
+
+class ThermalSegment;
+
+// One segment's integrals.
+struct SegmentEnergy {
+  double cpu_joules = 0.0;
+  double system_joules = 0.0;
+  double temp_integral = 0.0;  // ∫ T_cpu dt, °C·s
+};
 
 struct PowerModelParams {
   // Chassis, RAM, NICs, disks — everything that is not CPU or fans.
@@ -75,12 +101,24 @@ class PowerModel {
   [[nodiscard]] double CpuPower(int active_cores, KiloHertz f, bool ht,
                                 double utilization) const;
 
+  // CpuPower for a utilization that follows `utilization` (which must stay
+  // within [0, 1]): affine in u, so the same waveform rescaled. Idle
+  // (active_cores <= 0) is the constant uncore draw.
+  [[nodiscard]] Waveform CpuWave(int active_cores, KiloHertz f, bool ht,
+                                 const Waveform& utilization) const;
+
   [[nodiscard]] double FanPower(double cpu_temp_celsius) const;
 
   // Full node draw given CPU load state and current CPU temperature.
   [[nodiscard]] PowerBreakdown SystemPower(int active_cores, KiloHertz f,
                                            bool ht, double utilization,
                                            double cpu_temp_celsius) const;
+
+  // Integrals over the first `seconds` of `segment`: CPU joules from its
+  // draw waveform, fan joules from its temperature above the knee, the
+  // platform's constant draw, and ∫T.
+  [[nodiscard]] SegmentEnergy Integrate(const ThermalSegment& segment,
+                                        double seconds) const;
 
  private:
   PowerModelParams params_;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,7 +29,7 @@ class AccountingDb {
  public:
   void Record(const JobRecord& job);
 
-  [[nodiscard]] const std::vector<JobRecord>& records() const { return records_; }
+  [[nodiscard]] const std::deque<JobRecord>& records() const { return records_; }
   [[nodiscard]] std::optional<JobRecord> Find(JobId id) const;
   [[nodiscard]] std::vector<JobRecord> ByUser(std::uint32_t user_id) const;
   [[nodiscard]] std::vector<JobRecord> ByState(JobState state) const;
@@ -38,7 +39,10 @@ class AccountingDb {
   Status ExportCsv(const std::string& path) const;
 
  private:
-  std::vector<JobRecord> records_;
+  // A deque, not a vector: records are ~750 B and a run appends thousands,
+  // so a vector's doubling would copy every record and hold a dead half in
+  // a multi-MB buffer at its peak. Deque blocks grow without copying.
+  std::deque<JobRecord> records_;
 };
 
 }  // namespace eco::slurm

@@ -139,7 +139,7 @@ ClusterSim::ClusterSim(ClusterConfig config)
     }
   }
 
-  // Energy attribution: every node's accruals (run ticks and idle gaps)
+  // Energy attribution: every node's accruals (run segments and idle gaps)
   // flow into the ledger's per-node occupancy split. Taps fire on the
   // serial sim thread in event order, so attribution is pool-size invariant.
   if (config_.energy_ledger != nullptr) {
@@ -1007,9 +1007,10 @@ void ClusterSim::FinalizeJob(JobRecord& job, JobState state,
   ShardOf(job).fairshare.AddUsage(
       job.request.user_id, job.RunSeconds() * job.request.num_tasks,
       queue_.now());
-  // All of the job's energy is accrued by now (completion ticks and cancel
-  // paths both run Accrue before reaching here), so close the charge spans
-  // and settle the ledger entry before the record lands in accounting.
+  // All of the job's energy is accrued by now (the completion event and the
+  // cancel path both close the run segment before reaching here), so close
+  // the charge spans and settle the ledger entry before the record lands in
+  // accounting.
   if (config_.energy_ledger != nullptr) {
     config_.energy_ledger->EndSpans(job.id);
     config_.energy_ledger->FinalizeJob(job);

@@ -12,7 +12,6 @@ NodeSim::NodeSim(std::string name, NodeParams params, EventQueue* queue)
       params_(params),
       queue_(queue),
       power_model_(params.power),
-      thermal_(params.thermal),
       dvfs_(params.machine.cpu, params.default_governor),
       perf_model_(params.perf) {
   // ECO_PERF_CALIBRATION=<BENCH_p4 artifact> refits the analytic model from
@@ -20,7 +19,6 @@ NodeSim::NodeSim(std::string name, NodeParams params, EventQueue* queue)
   // and GFLOPS/W rankings track the kernels this build actually runs.
   hpcg::ApplyEnvCalibration(&perf_model_);
   freq_ = dvfs_.frequency();
-  last_update_ = queue_->now();
   idle_mark_ = queue_->now();
   const auto idle = power_model_.SystemPower(
       0, params_.machine.cpu.MinFrequency(), false, 0.0,
@@ -28,17 +26,15 @@ NodeSim::NodeSim(std::string name, NodeParams params, EventQueue* queue)
   idle_system_watts_ = idle.system_watts;
   idle_cpu_watts_ = idle.cpu_watts;
   reported_watts_ = idle_system_watts_;
+  seg_start_ = queue_->now();
+  seg_ = hw::ThermalSegment(params_.thermal, hw::Waveform{idle_cpu_watts_},
+                            0.0, params_.thermal.ambient_celsius);
 }
 
 double NodeSim::UtilizationAt(SimTime t) const {
-  if (!running_) return 0.0;
-  switch (workload_.kind) {
-    case WorkloadSpec::Kind::kHpcg:
-      return perf_model_.UtilizationAt(t - start_time_, op_);
-    case WorkloadSpec::Kind::kFixedDuration:
-      return workload_.fixed_utilization;
-  }
-  return 0.0;
+  return workload_.kind == WorkloadSpec::Kind::kHpcg
+             ? perf_model_.UtilizationAt(t - start_time_, op_)
+             : workload_.fixed_utilization;
 }
 
 Status NodeSim::StartJob(const JobRecord& job, int tasks,
@@ -63,6 +59,7 @@ Status NodeSim::StartJob(const JobRecord& job, int tasks,
   // start, so an attached energy ledger sees idle and busy joules meet
   // exactly at the job boundary.
   EmitIdleGap(queue_->now());
+  const double temp0 = seg_.At(SegmentClock());
 
   running_ = true;
   job_id_ = job.id;
@@ -71,14 +68,12 @@ Status NodeSim::StartJob(const JobRecord& job, int tasks,
   ht_ = tpc > 1;
   on_done_ = std::move(on_done);
   start_time_ = queue_->now();
-  last_update_ = start_time_;
   progress_flops_ = 0.0;
   energy_system_j_ = energy_cpu_j_ = temp_integral_ = elapsed_ = 0.0;
 
   // Frequency: a pinned job (the eco plugin's doing) acts like the userspace
   // governor; otherwise the node's default governor decides.
-  pinned_ = job.request.cpu_freq_max > 0;
-  if (pinned_) {
+  if (job.request.cpu_freq_max > 0) {
     dvfs_ = hw::DvfsPolicy(cpu, hw::Governor::kUserspace);
     dvfs_.Pin(job.request.cpu_freq_max);
   } else {
@@ -86,16 +81,13 @@ Status NodeSim::StartJob(const JobRecord& job, int tasks,
   }
   SetFrequency(dvfs_.frequency());
 
-  if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
-    total_work_flops_ =
-        hpcg::HpcgPerfModel::TotalFlops(workload_.problem, tasks_,
-                                        workload_.iterations);
-  } else {
-    total_work_flops_ = 0.0;
-  }
+  total_work_flops_ =
+      workload_.kind == WorkloadSpec::Kind::kHpcg
+          ? hpcg::HpcgPerfModel::TotalFlops(workload_.problem, tasks_,
+                                            workload_.iterations)
+          : 0.0;
 
-  tick_event_ = queue_->ScheduleAfter(params_.tick_seconds,
-                                      [this](SimTime t) { Tick(t); });
+  OpenRunSegment(temp0);
   ECO_DEBUG << "node " << name_ << ": job " << job_id_ << " started, tasks="
             << tasks_ << " freq=" << freq_ << " ht=" << ht_;
   return Status::Ok();
@@ -108,62 +100,73 @@ void NodeSim::SetFrequency(KiloHertz f) {
   }
 }
 
-void NodeSim::Accrue(double dt) {
-  if (dt <= 0.0) return;
-  const double u = UtilizationAt(last_update_);
-  const auto breakdown = power_model_.SystemPower(running_ ? tasks_ : 0, freq_,
-                                                  ht_, u, thermal_.temperature());
-  energy_system_j_ += breakdown.system_watts * dt;
-  energy_cpu_j_ += breakdown.cpu_watts * dt;
-  reported_watts_ = breakdown.system_watts;
-  for (const EnergyTap& tap : energy_taps_) {
-    tap(breakdown.system_watts, breakdown.cpu_watts, dt);
+void NodeSim::OpenRunSegment(double temp0) {
+  const bool hpcg = workload_.kind == WorkloadSpec::Kind::kHpcg;
+  const hw::Waveform utilization =
+      hpcg ? perf_model_.UtilizationWave(op_)
+           : hw::Waveform{workload_.fixed_utilization};
+  seg_start_ = queue_->now();
+  seg_ = hw::ThermalSegment(
+      params_.thermal, power_model_.CpuWave(tasks_, freq_, ht_, utilization),
+      seg_start_ - start_time_, temp0);
+  // Seconds to completion at this segment's rate.
+  const double left = std::max(
+      0.0, hpcg ? (total_work_flops_ - progress_flops_) / (op_.gflops * 1e9)
+                : workload_.fixed_duration_s - elapsed_);
+  const double sample = dvfs_.sampling_interval();
+  seg_completes_ =
+      dvfs_.governor() != hw::Governor::kOndemand || left <= sample;
+  seg_seconds_ = seg_completes_ ? left : sample;
+  seg_energy_ = power_model_.Integrate(seg_, seg_seconds_);
+  seg_sent_ = hw::SegmentEnergy{};
+  seg_sent_seconds_ = 0.0;
+  if (seg_seconds_ > 0.0) {
+    reported_watts_ = seg_energy_.system_joules / seg_seconds_;
   }
-  temp_integral_ += thermal_.temperature() * dt;
-  thermal_.Advance(dt, breakdown.cpu_watts);
-  elapsed_ += dt;
+  seg_event_ = queue_->ScheduleAfter(seg_seconds_,
+                                     [this](SimTime t) { EndRunSegment(t); });
 }
 
-void NodeSim::Tick(SimTime now) {
-  if (!running_) return;
-  const double dt = now - last_update_;
-
-  // Progress at the frequency in force during [last_update_, now).
-  if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
-    progress_flops_ += op_.gflops * 1e9 * dt;
-  }
-  Accrue(dt);
-  last_update_ = now;
-
-  // Governor reacts to the utilization it just observed; only ondemand
-  // reads it.
-  const bool ondemand = dvfs_.governor() == hw::Governor::kOndemand;
-  const KiloHertz next = dvfs_.Step(ondemand ? UtilizationAt(now) : 0.0);
-  if (next != freq_) SetFrequency(next);
-
-  // Completion?
-  bool done = false;
-  if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
-    done = progress_flops_ >= total_work_flops_;
-  } else {
-    done = now - start_time_ >= workload_.fixed_duration_s - 1e-9;
-  }
-  if (done) {
-    running_ = false;
-    idle_mark_ = now;  // before the callback: it may start the next job
-    reported_watts_ = idle_system_watts_;
-    flops_done_at_end_ = progress_flops_;
-    const RunStats stats = FinalStats();
-    const JobId id = job_id_;
-    ECO_DEBUG << "node " << name_ << ": job " << id << " done in "
-              << stats.seconds << "s, " << stats.gflops << " GFLOPS";
-    auto cb = std::move(on_done_);
-    on_done_ = nullptr;
-    if (cb) cb(id, stats);
+void NodeSim::EndRunSegment(SimTime now) {
+  seg_event_ = 0;
+  CloseRunSegment(seg_seconds_, seg_energy_);
+  const double temp = seg_.At(seg_seconds_);
+  if (!seg_completes_) {
+    // An ondemand sample: the governor reacts to the utilization it sees.
+    const KiloHertz next = dvfs_.Step(UtilizationAt(now));
+    if (next != freq_) SetFrequency(next);
+    OpenRunSegment(temp);
     return;
   }
-  tick_event_ = queue_->ScheduleAfter(params_.tick_seconds,
-                                      [this](SimTime t) { Tick(t); });
+  const JobId id = job_id_;
+  auto cb = std::move(on_done_);
+  const RunStats stats = EndRun(now, temp);  // the callback may start a job
+  ECO_DEBUG << "node " << name_ << ": job " << id << " done in "
+            << stats.seconds << "s, " << stats.gflops << " GFLOPS";
+  if (cb) cb(id, stats);
+}
+
+void NodeSim::CloseRunSegment(double seconds, const hw::SegmentEnergy& e) {
+  energy_system_j_ += e.system_joules;
+  energy_cpu_j_ += e.cpu_joules;
+  temp_integral_ += e.temp_integral;
+  elapsed_ += seconds;
+  if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
+    progress_flops_ += op_.gflops * 1e9 * seconds;
+  }
+  Emit(e.system_joules - seg_sent_.system_joules,
+       e.cpu_joules - seg_sent_.cpu_joules, seconds - seg_sent_seconds_);
+}
+
+RunStats NodeSim::EndRun(SimTime now, double temp) {
+  running_ = false;
+  on_done_ = nullptr;
+  idle_mark_ = now;
+  reported_watts_ = idle_system_watts_;
+  seg_start_ = now;
+  seg_ = hw::ThermalSegment(params_.thermal, hw::Waveform{idle_cpu_watts_},
+                            0.0, temp);
+  return FinalStats();
 }
 
 RunStats NodeSim::FinalStats() const {
@@ -176,7 +179,7 @@ RunStats NodeSim::FinalStats() const {
     stats.avg_system_watts = energy_system_j_ / elapsed_;
     stats.avg_cpu_watts = energy_cpu_j_ / elapsed_;
     if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
-      stats.gflops = flops_done_at_end_ / elapsed_ / 1e9;
+      stats.gflops = progress_flops_ / elapsed_ / 1e9;
     }
   }
   return stats;
@@ -184,20 +187,18 @@ RunStats NodeSim::FinalStats() const {
 
 RunStats NodeSim::CancelJob() {
   if (!running_) return RunStats{};
-  const SimTime now = queue_->now();
-  if (workload_.kind == WorkloadSpec::Kind::kHpcg) {
-    progress_flops_ += op_.gflops * 1e9 * (now - last_update_);
+  const double s = std::clamp(SegmentClock(), 0.0, seg_seconds_);
+  CloseRunSegment(s, power_model_.Integrate(seg_, s));
+  queue_->Cancel(seg_event_);
+  seg_event_ = 0;
+  return EndRun(queue_->now(), seg_.At(s));
+}
+
+void NodeSim::Emit(double joules, double cpu_joules, double dt) {
+  if (dt <= 0.0) return;
+  for (const EnergyTap& tap : energy_taps_) {
+    tap(joules / dt, cpu_joules / dt, dt);
   }
-  Accrue(now - last_update_);
-  last_update_ = now;
-  flops_done_at_end_ = progress_flops_;
-  running_ = false;
-  idle_mark_ = now;
-  reported_watts_ = idle_system_watts_;
-  on_done_ = nullptr;
-  if (tick_event_ != 0) queue_->Cancel(tick_event_);
-  tick_event_ = 0;
-  return FinalStats();
 }
 
 void NodeSim::EmitIdleGap(SimTime now) {
@@ -210,36 +211,28 @@ void NodeSim::EmitIdleGap(SimTime now) {
 }
 
 void NodeSim::FlushIdleEnergy() {
-  if (!running_) EmitIdleGap(queue_->now());
-}
-
-void NodeSim::IdleAdvance() const {
-  const SimTime now = queue_->now();
-  const double dt = now - last_update_;
-  if (dt <= 0.0) return;
-  // Idle: uncore-only CPU power drives the thermal model.
-  const double idle_cpu_w = power_model_.CpuPower(0, freq_, false, 0.0);
-  thermal_.Advance(dt, idle_cpu_w);
-  last_update_ = now;
+  if (!running_) {
+    EmitIdleGap(queue_->now());
+    return;
+  }
+  const double s = std::clamp(SegmentClock(), 0.0, seg_seconds_);
+  if (s <= seg_sent_seconds_) return;
+  const hw::SegmentEnergy e = power_model_.Integrate(seg_, s);
+  Emit(e.system_joules - seg_sent_.system_joules,
+       e.cpu_joules - seg_sent_.cpu_joules, s - seg_sent_seconds_);
+  seg_sent_ = e;
+  seg_sent_seconds_ = s;
 }
 
 double NodeSim::SystemWatts() const {
-  if (!running_) IdleAdvance();
-  const double u = UtilizationAt(queue_->now());
-  return power_model_
-      .SystemPower(running_ ? tasks_ : 0, freq_, ht_, u, thermal_.temperature())
-      .system_watts;
+  return CpuWatts() + power_model_.FanPower(CpuTempCelsius()) +
+         power_model_.params().platform_watts;
 }
 
 double NodeSim::CpuWatts() const {
-  if (!running_) IdleAdvance();
-  const double u = UtilizationAt(queue_->now());
-  return power_model_.CpuPower(running_ ? tasks_ : 0, freq_, ht_, u);
+  return seg_.cpu().At(seg_.x0() + SegmentClock());
 }
 
-double NodeSim::CpuTempCelsius() const {
-  if (!running_) IdleAdvance();
-  return thermal_.temperature();
-}
+double NodeSim::CpuTempCelsius() const { return seg_.At(SegmentClock()); }
 
 }  // namespace eco::slurm

@@ -2,23 +2,29 @@
 //
 // A NodeSim owns the machine's power, thermal and DVFS models and runs at
 // most one job at a time (exclusive allocation, as on the paper's test
-// node). While a job runs the node ticks once per simulated second:
+// node). It schedules events only where its state changes: a job's exact
+// completion, an `ondemand` governor sample, and a cancel. Each stretch
+// between two such events is a *segment*, with tasks, frequency and HT
+// fixed, so everything in it has a closed form:
 //
-//   utilization u(t)  ->  governor step (may change frequency)
-//                     ->  instantaneous power (hw::PowerModel)
-//                     ->  thermal advance, energy integrals
-//                     ->  workload progress (FLOPs done at modelled GFLOPS)
+//   utilization u(x)   ->  a Waveform in the job's phase x (HPCG's CG
+//                          cycle; constant for fixed-duration jobs)
+//   CPU power          ->  the same waveform rescaled (hw::PowerModel)
+//   temperature        ->  its exact response (hw::ThermalSegment)
+//   energy, fans, ∫T   ->  exact integrals (hw::PowerModel::Integrate)
+//   progress           ->  FLOPs at the segment's GFLOPS; an HPCG run ends
+//                          at remaining FLOPs / (GFLOPS·1e9)
 //
-// Because progress integrates the *current* frequency's GFLOPS, governor
-// dynamics (e.g. ondemand bouncing between levels) genuinely change runtime
-// and energy — not just an average. The node implements ipmi::PowerSource,
-// so a BmcSimulator attached to it sees the same signals a real BMC would.
+// `performance`, `powersave` and `userspace` (pinned eco jobs) hold one
+// frequency, so a run is one segment and one event. `ondemand` ends a
+// segment at every sample, so its dynamics (bouncing between levels) still
+// change runtime and energy. An idle node cools toward its idle steady
+// state in closed form, and the next job starts from that temperature.
 //
-// The time-independent part of the HPCG model (GFLOPS, mean utilization,
-// phase amplitude) is an operating point computed once per run and again
-// only when the governor actually changes the frequency; a tick evaluates
-// just the time-varying phase. The governor samples utilization only under
-// `ondemand`, the one governor that reads it.
+// The node implements ipmi::PowerSource, so a BmcSimulator attached to it
+// sees the same signals a real BMC would. Those reads evaluate the closed
+// form at the current time and never move the state: observers cannot
+// change results.
 #pragma once
 
 #include <functional>
@@ -43,7 +49,6 @@ struct NodeParams {
   hw::ThermalParams thermal = hw::ThermalParams::Epyc7502P();
   hpcg::PerfModelParams perf = hpcg::PerfModelParams::Epyc7502P();
   hw::Governor default_governor = hw::Governor::kPerformance;
-  double tick_seconds = 1.0;
 };
 
 struct RunStats {
@@ -94,10 +99,13 @@ class NodeSim : public ipmi::PowerSource {
     if (tap) energy_taps_.push_back(std::move(tap));
   }
 
-  // Emits the idle-draw energy accumulated since the node last went idle to
-  // the taps (per-run stats are untouched — idle energy belongs to the
-  // cluster, not to any job). StartJob flushes the preceding idle gap
-  // automatically; call this at end of sim to bill the trailing gap.
+  // Emits to the taps the energy drawn since they last heard from the node:
+  // the idle draw since the node last went idle, or the open run segment's
+  // energy so far (the segment itself is not restarted, so per-run stats do
+  // not depend on when this is called). StartJob flushes the preceding idle
+  // gap automatically; call this at end of sim to bill the trailing gap,
+  // and before reading a counter the taps feed, so no single emission
+  // spans a long run.
   void FlushIdleEnergy();
 
   // Starts `tasks` ranks of the job's workload on this node. The request's
@@ -109,39 +117,50 @@ class NodeSim : public ipmi::PowerSource {
   // Returns stats for the partial run.
   RunStats CancelJob();
 
-  // System watts over the node's most recent accrual interval (idle draw
-  // when idle). Updated only at sim events, so it is a pure O(1) read —
-  // what the 1 Hz time-series sampler sums instead of re-evaluating the
-  // power model per node per sample (SystemWatts() stays the exact
-  // instantaneous value for IPMI/BMC reads).
+  // Mean system watts of the open run segment (idle draw when idle). Set
+  // only at sim events, so it is a pure O(1) read — what the 1 Hz
+  // time-series sampler sums instead of evaluating the closed form per node
+  // per sample (SystemWatts() stays the exact instantaneous value for
+  // IPMI/BMC reads).
   [[nodiscard]] double ReportedWatts() const { return reported_watts_; }
 
-  // ipmi::PowerSource — instantaneous true values.
+  // ipmi::PowerSource — instantaneous true values, pure reads.
   [[nodiscard]] double SystemWatts() const override;
   [[nodiscard]] double CpuWatts() const override;
   [[nodiscard]] double CpuTempCelsius() const override;
 
  private:
-  void Tick(SimTime now);
-  // Instantaneous utilization of the running workload at sim time `t`.
+  // Utilization of the running workload at sim time `t`.
   [[nodiscard]] double UtilizationAt(SimTime t) const;
   // Switches the run to frequency `f`, re-deriving the operating point.
   void SetFrequency(KiloHertz f);
-  // Accrues dt seconds of power/thermal/energy at the current settings.
-  void Accrue(double dt);
+  // Opens a run segment now at die temperature `temp0`; it lasts until the
+  // job completes or, under ondemand, until the next governor sample.
+  void OpenRunSegment(double temp0);
+  // The open run segment's end event.
+  void EndRunSegment(SimTime now);
+  // Books the first `seconds` of the open run segment (integrals `e`) into
+  // the run and sends the taps what FlushIdleEnergy has not yet sent.
+  void CloseRunSegment(double seconds, const hw::SegmentEnergy& e);
+  // Ends the run at `now` with die temperature `temp` and opens the idle
+  // segment; returns the run's stats.
+  RunStats EndRun(SimTime now, double temp);
   [[nodiscard]] RunStats FinalStats() const;
-  // Decays temperature toward idle steady state for reads while idle.
-  void IdleAdvance() const;
+  // Fires every tap with `joules`/`cpu_joules` drawn over `dt` seconds.
+  void Emit(double joules, double cpu_joules, double dt);
   // Fires the taps with the idle draw over [idle_mark_, now), then moves the
   // mark to `now`.
   void EmitIdleGap(SimTime now);
+  // Seconds into the open segment at the current sim time.
+  [[nodiscard]] double SegmentClock() const {
+    return queue_->now() - seg_start_;
+  }
 
   std::string name_;
   NodeParams params_;
   EventQueue* queue_;
   std::vector<std::string> partitions_;
   hw::PowerModel power_model_;
-  mutable hw::ThermalModel thermal_;
   hw::DvfsPolicy dvfs_;
   hpcg::HpcgPerfModel perf_model_;
 
@@ -151,17 +170,26 @@ class NodeSim : public ipmi::PowerSource {
   WorkloadSpec workload_{};
   int tasks_ = 0;
   bool ht_ = false;
-  bool pinned_ = false;
   KiloHertz freq_ = 0;
   // The HPCG model at (tasks_, freq_, ht_); only valid for kHpcg runs.
   hpcg::HpcgPerfModel::OperatingPoint op_{};
   SimTime start_time_ = 0.0;
   double total_work_flops_ = 0.0;  // kHpcg
   double progress_flops_ = 0.0;
-  double flops_done_at_end_ = 0.0;
-  std::uint64_t tick_event_ = 0;
   CompletionCallback on_done_;
   std::vector<EnergyTap> energy_taps_;
+
+  // The open segment (run or idle) and, for a run segment, its planned
+  // length, whether the job ends with it, its integrals over that length,
+  // and what FlushIdleEnergy already sent of it.
+  SimTime seg_start_ = 0.0;
+  hw::ThermalSegment seg_;
+  double seg_seconds_ = 0.0;
+  bool seg_completes_ = false;
+  hw::SegmentEnergy seg_energy_;
+  hw::SegmentEnergy seg_sent_;
+  double seg_sent_seconds_ = 0.0;
+  std::uint64_t seg_event_ = 0;
 
   // Constant idle draw (min frequency, thermally settled at the fan knee —
   // the same steady state EstimateJobWatts subtracts) billed to the taps for
@@ -170,7 +198,7 @@ class NodeSim : public ipmi::PowerSource {
   double idle_cpu_watts_ = 0.0;
   // When the node last became idle (construction, job end, or cancel).
   SimTime idle_mark_ = 0.0;
-  // Last accrual interval's system watts; idle draw while idle.
+  // The open run segment's mean system watts; idle draw while idle.
   double reported_watts_ = 0.0;
 
   // Accumulators for the current run.
@@ -178,7 +206,6 @@ class NodeSim : public ipmi::PowerSource {
   double energy_cpu_j_ = 0.0;
   double temp_integral_ = 0.0;
   double elapsed_ = 0.0;
-  mutable SimTime last_update_ = 0.0;
 };
 
 }  // namespace eco::slurm

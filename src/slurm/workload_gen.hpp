@@ -33,8 +33,8 @@ struct WorkloadMix {
   int users = 3;
   std::uint64_t seed = 4242;
   // When > 0, fixed-job durations are rounded up to a multiple of this (in
-  // seconds). Drain benches set it to the node tick so completions land in
-  // shared waves instead of one event per job; 0 leaves durations untouched.
+  // seconds). Drain benches set it so completions land in shared waves
+  // instead of one event per job; 0 leaves durations untouched.
   double duration_quantum_s = 0.0;
   // Non-empty: each job is routed uniformly at random to one of these
   // partition names. Drawn AFTER the per-job stream above, so an empty list

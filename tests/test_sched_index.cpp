@@ -529,7 +529,7 @@ TEST(PumpWorkload, CoalescingWindowBatchesArrivals) {
   mix.hpcg_share = 0.0;
   mix.wide_share = 0.0;
   mix.mean_interarrival_s = 5.0;
-  mix.duration_quantum_s = 60.0;  // durations snap to whole ticks
+  mix.duration_quantum_s = 60.0;  // durations snap to whole minutes
   auto jobs = GenerateWorkload(mix, 60, 16, 1);
   for (const auto& job : jobs) {
     const double duration = job.request.workload.fixed_duration_s;

@@ -118,8 +118,9 @@ TEST(NodeSim, CancelReturnsPartialStatsAndFreesNode) {
 // An HPCG run whose governor moves the frequency mid-run: a deep phase
 // modulation and a tiny compute capability swing utilization between ~0.3
 // and 1.0, so ondemand steps down and jumps back up. The energy books are
-// pinned to the values the per-tick model evaluation produced, so caching
-// the operating point per frequency must not move a single bit.
+// pinned to the bits the segment-exact model produces (one closed-form
+// segment per 1 s ondemand sample, the last one ending on the run's final
+// FLOP), so a refactor of the segment integrals must not move a single bit.
 TEST(NodeSim, OndemandFrequencyChangesKeepHpcgEnergyBooksBitExact) {
   EventQueue queue;
   NodeParams params = FastNodeParams();
@@ -141,11 +142,11 @@ TEST(NodeSim, OndemandFrequencyChangesKeepHpcgEnergyBooksBitExact) {
   }
   queue.RunAll();
   EXPECT_EQ(seen.size(), 3u);  // every level of the EPYC ladder
-  EXPECT_EQ(stats.seconds, 264.0);
-  EXPECT_EQ(stats.system_joules, 0x1.e6a2e57b200afp+14);
-  EXPECT_EQ(stats.cpu_joules, 0x1.6285caf64016bp+13);
-  EXPECT_EQ(stats.gflops, 0x1.9436709b8f1efp+1);
-  EXPECT_EQ(stats.avg_cpu_temp, 0x1.227d7d7a5de73p+5);
+  EXPECT_EQ(stats.seconds, 0x1.0761fdc418a58p+8);  // 263.38 s
+  EXPECT_EQ(stats.system_joules, 0x1.e534cb5a2ef6fp+14);
+  EXPECT_EQ(stats.cpu_joules, 0x1.611bebf0c42a5p+13);
+  EXPECT_EQ(stats.gflops, 0x1.941894a54c56bp+1);
+  EXPECT_EQ(stats.avg_cpu_temp, 0x1.228bbc7265afdp+5);
 }
 
 TEST(NodeSim, FixedDurationWorkloadEndsOnTime) {
@@ -160,7 +161,7 @@ TEST(NodeSim, FixedDurationWorkloadEndsOnTime) {
                     seconds = s.seconds;
                   }).ok());
   queue.RunAll();
-  EXPECT_NEAR(seconds, 120.0, 1.5);
+  EXPECT_EQ(seconds, 120.0);
 }
 
 TEST(NodeSim, LowerFrequencyLowersPowerButLengthensHpcgRun) {
