@@ -1,30 +1,30 @@
-// P2 — scheduler drain throughput: legacy sort-everything engine vs the
-// indexed engine (PendingIndex + NodeTimeline) on a burst-submitted backlog.
+// P2 — scheduler drain throughput of the indexed scheduler (PendingIndex +
+// NodeTimeline) on a burst-submitted backlog.
 //
 // The workload is the drain stress case: N jobs land in one SubmitBatch at
 // t=0 on a 256-node cluster and the simulation runs until the queue is
 // empty. Durations are quantized to a minute so completions arrive in
-// waves and each wave triggers exactly one (deferred) scheduling pass —
-// the pass cost itself is what differs between the engines. Legacy pays a
-// full priority recompute + sort of the whole remaining queue per pass;
-// the index pays for the jobs it actually starts plus a bounded backfill
-// probe (bf_max_job_test).
+// waves and each wave triggers exactly one (deferred) scheduling pass. The
+// index pays for the jobs it actually starts plus a bounded backfill probe
+// (bf_max_job_test), never for the depth of the queue behind them.
 //
-// Checked, not just reported:
+// Checked, not just reported, at every scale (smoke included):
 //  - every submitted job must finish in state kCompleted (no timeouts, no
-//    rejects) in every run;
-//  - at the 100k scale the indexed drain must be >= 10x faster than the
-//    legacy drain (the acceptance criterion). The gate only arms when both
-//    engines actually ran 100k, so --max-jobs smoke runs stay green.
+//    rejects);
+//  - the planner examines at most jobs_started + dispatch_calls x
+//    (1 + bf_max_job_test) queue entries: one per start, plus per pass the
+//    blocked head and the bounded backfill probe. A planner that re-ranks
+//    the whole queue per pass fails it (the retired sort-everything engine
+//    examined 20,171 entries at 1,000 jobs against a bound of 5,747).
 //
 // Flags: --max-jobs N caps every scale (bench-smoke uses --max-jobs 1000),
-// --skip-legacy / --skip-indexed run one side only, --trace PATH writes a
-// Chrome trace_event JSON of an indexed drain (open in chrome://tracing or
-// Perfetto), --overhead-check asserts that an attached-but-disabled tracer
-// stays within noise of the no-tracer baseline, --timeseries PATH writes the
-// multi-resolution time-series JSON of an indexed drain (and asserts
-// monotone timestamps at every resolution), --ts-overhead-check asserts that
-// 1 s sim-resolution sampling costs <= 2% drain throughput.
+// --trace PATH writes a Chrome trace_event JSON of a drain (open in
+// chrome://tracing or Perfetto), --overhead-check asserts that an
+// attached-but-disabled tracer stays within noise of the no-tracer
+// baseline, --timeseries PATH writes the multi-resolution time-series JSON
+// of a drain (and asserts monotone timestamps at every resolution),
+// --ts-overhead-check asserts that 1 s sim-resolution sampling costs <= 2%
+// drain throughput.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -53,8 +53,10 @@ constexpr int kCoresPerNode = 32;
 // Job durations are whole multiples of this: a workload property that makes
 // completions arrive in waves.
 constexpr double kDurationQuantumS = 60.0;
-constexpr int kGateScale = 100'000;
-constexpr double kGateSpeedup = 10.0;
+// Slurm's bf_max_job_test: bounds the backfill probe per pass.
+constexpr int kBackfillMaxJobTest = 100;
+// Scale the trace and time-series artifacts are capped at.
+constexpr int kArtifactScale = 100'000;
 
 int g_failures = 0;
 
@@ -86,20 +88,21 @@ std::vector<JobRequest> MakeBacklog(int count) {
 struct DrainResult {
   double wall_s = 0.0;
   std::size_t completed = 0;
-  SchedulerStats stats;
+  std::uint64_t dispatch_calls = 0;
+  std::uint64_t dispatch_ns = 0;
+  std::uint64_t plan_candidates = 0;
+  std::uint64_t jobs_started = 0;
+  std::uint64_t pending_peak = 0;
 };
 
-DrainResult RunDrain(bool legacy, const std::vector<JobRequest>& backlog,
+DrainResult RunDrain(const std::vector<JobRequest>& backlog,
                      telemetry::Tracer* tracer = nullptr,
                      telemetry::TimeSeriesStore* timeseries = nullptr,
                      double ts_resolution_s = 0.0) {
   ClusterConfig config;
   config.nodes = kNodes;
-  config.use_legacy_scheduler = legacy;
   config.defer_dispatch = true;  // one scheduling pass per completion wave
-  // Slurm's bf_max_job_test: bound the backfill probe. Indexed engine only;
-  // the legacy planner always walks the whole queue (that is the baseline).
-  config.backfill_max_job_test = 100;
+  config.backfill_max_job_test = kBackfillMaxJobTest;
   config.tracer = tracer;
   config.timeseries = timeseries;
   config.timeseries_resolution_s = ts_resolution_s;
@@ -113,21 +116,25 @@ DrainResult RunDrain(bool legacy, const std::vector<JobRequest>& backlog,
 
   DrainResult out;
   out.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  out.stats = cluster.sched_stats();
+  const SchedMetricSet& metrics = cluster.sched_metrics();
+  out.dispatch_calls = metrics.dispatch_calls->Value();
+  out.dispatch_ns = metrics.dispatch_ns->Value();
+  out.plan_candidates = metrics.plan_candidates->Value();
+  out.jobs_started = metrics.jobs_started->Value();
+  out.pending_peak = static_cast<std::uint64_t>(metrics.pending_peak->Value());
   for (const auto& result : results) {
     if (!result.ok()) continue;
     const auto job = cluster.GetJob(*result);
     if (job && job->state == JobState::kCompleted) ++out.completed;
   }
   Check(out.completed == backlog.size(),
-        (legacy ? std::string("legacy") : std::string("indexed")) + " @" +
-            std::to_string(backlog.size()) + ": " +
+        "drain @" + std::to_string(backlog.size()) + ": " +
             std::to_string(out.completed) + "/" +
             std::to_string(backlog.size()) + " jobs completed");
   return out;
 }
 
-// One indexed drain with tracing ON, exported as Chrome trace_event JSON.
+// One drain with tracing ON, exported as Chrome trace_event JSON.
 // The trace timestamps are sim-time, so the bytes are identical whatever
 // ThreadPool size planned the schedule.
 void WriteTrace(const std::string& path, int scale) {
@@ -136,7 +143,7 @@ void WriteTrace(const std::string& path, int scale) {
   ClusterConfig config;
   config.nodes = kNodes;
   config.defer_dispatch = true;
-  config.backfill_max_job_test = 100;
+  config.backfill_max_job_test = kBackfillMaxJobTest;
   config.tracer = &tracer;
   ClusterSim cluster(config);
   cluster.SubmitBatch(MakeBacklog(scale));
@@ -161,9 +168,8 @@ void OverheadCheck(int scale) {
   std::vector<double> base_s, disabled_s;
   telemetry::Tracer tracer;  // never enabled
   for (int rep = 0; rep < 3; ++rep) {
-    base_s.push_back(RunDrain(/*legacy=*/false, backlog).wall_s);
-    disabled_s.push_back(
-        RunDrain(/*legacy=*/false, backlog, &tracer).wall_s);
+    base_s.push_back(RunDrain(backlog).wall_s);
+    disabled_s.push_back(RunDrain(backlog, &tracer).wall_s);
   }
   std::sort(base_s.begin(), base_s.end());
   std::sort(disabled_s.begin(), disabled_s.end());
@@ -176,14 +182,13 @@ void OverheadCheck(int scale) {
         "disabled-tracing drain exceeded noise bound vs baseline");
 }
 
-// One indexed drain with a time-series store sampling once per duration quantum,
+// One drain with a time-series store sampling once per duration quantum,
 // exported as multi-resolution JSON (the power-over-time artifact CI
 // uploads next to the Chrome trace). Asserts the rollup invariant: strictly
 // monotone timestamps at every resolution.
 void WriteTimeseries(const std::string& path, int scale) {
   telemetry::TimeSeriesStore store;
-  RunDrain(/*legacy=*/false, MakeBacklog(scale), nullptr, &store,
-           kDurationQuantumS);
+  RunDrain(MakeBacklog(scale), nullptr, &store, kDurationQuantumS);
   for (const std::string& name : store.Names()) {
     for (int r = 0; r < telemetry::TimeSeries::kResolutions; ++r) {
       const auto samples = store.Samples(name, r);
@@ -213,10 +218,9 @@ void TsOverheadCheck(int scale) {
   const auto backlog = MakeBacklog(scale);
   std::vector<double> base_s, sampled_s;
   for (int rep = 0; rep < 5; ++rep) {
-    base_s.push_back(RunDrain(/*legacy=*/false, backlog).wall_s);
+    base_s.push_back(RunDrain(backlog).wall_s);
     telemetry::TimeSeriesStore store;  // fresh rings per rep
-    sampled_s.push_back(
-        RunDrain(/*legacy=*/false, backlog, nullptr, &store, 1.0).wall_s);
+    sampled_s.push_back(RunDrain(backlog, nullptr, &store, 1.0).wall_s);
   }
   std::sort(base_s.begin(), base_s.end());
   std::sort(sampled_s.begin(), sampled_s.end());
@@ -229,24 +233,21 @@ void TsOverheadCheck(int scale) {
         "1 s time-series sampling exceeded the 2% drain-throughput bound");
 }
 
-void Report(const char* engine, int scale, const DrainResult& r) {
-  const SchedulerStats& s = r.stats;
+void Report(int scale, const DrainResult& r) {
   std::printf(
-      "%-8s %9d jobs  %9.3f s  %9.0f jobs/s  passes %7llu  "
+      "indexed  %9d jobs  %9.3f s  %9.0f jobs/s  passes %7llu  "
       "sched %9s  candidates %12llu  pending-peak %8llu\n",
-      engine, scale, r.wall_s, scale / std::max(r.wall_s, 1e-9),
-      static_cast<unsigned long long>(s.dispatch_calls),
-      FormatNanos(s.dispatch_ns).c_str(),
-      static_cast<unsigned long long>(s.plan_candidates),
-      static_cast<unsigned long long>(s.pending_peak));
+      scale, r.wall_s, scale / std::max(r.wall_s, 1e-9),
+      static_cast<unsigned long long>(r.dispatch_calls),
+      FormatNanos(r.dispatch_ns).c_str(),
+      static_cast<unsigned long long>(r.plan_candidates),
+      static_cast<unsigned long long>(r.pending_peak));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   int max_jobs = 1'000'000;
-  bool run_legacy = true;
-  bool run_indexed = true;
   bool overhead_check = false;
   bool ts_overhead_check = false;
   std::string trace_path;
@@ -254,10 +255,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--max-jobs") == 0 && i + 1 < argc) {
       max_jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--skip-legacy") == 0) {
-      run_legacy = false;
-    } else if (std::strcmp(argv[i], "--skip-indexed") == 0) {
-      run_indexed = false;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--overhead-check") == 0) {
@@ -268,9 +265,8 @@ int main(int argc, char** argv) {
       ts_overhead_check = true;
     } else {
       std::printf(
-          "usage: %s [--max-jobs N] [--skip-legacy] [--skip-indexed] "
-          "[--trace PATH] [--overhead-check] [--timeseries PATH] "
-          "[--ts-overhead-check]\n",
+          "usage: %s [--max-jobs N] [--trace PATH] [--overhead-check] "
+          "[--timeseries PATH] [--ts-overhead-check]\n",
           argv[0]);
       return 2;
     }
@@ -278,47 +274,30 @@ int main(int argc, char** argv) {
   Logger::Instance().SetLevel(LogLevel::kWarn);
   eco::bench::BenchReport report("p2_sched_throughput");
 
-  const std::vector<int> legacy_scales = {1'000, 10'000, 100'000};
-  const std::vector<int> indexed_scales = {1'000, 10'000, 100'000, 1'000'000};
-  double legacy_gate_s = 0.0, indexed_gate_s = 0.0;
-
-  if (run_legacy) {
-    for (const int scale : legacy_scales) {
-      if (scale > max_jobs) break;
-      const auto result = RunDrain(/*legacy=*/true, MakeBacklog(scale));
-      Report("legacy", scale, result);
-      report.Set("legacy_wall_s_" + std::to_string(scale), result.wall_s);
-      if (scale == kGateScale) legacy_gate_s = result.wall_s;
-    }
-  }
-  if (run_indexed) {
-    for (const int scale : indexed_scales) {
-      if (scale > max_jobs) break;
-      const auto result = RunDrain(/*legacy=*/false, MakeBacklog(scale));
-      Report("indexed", scale, result);
-      report.Set("indexed_wall_s_" + std::to_string(scale), result.wall_s);
-      report.Set("indexed_passes_" + std::to_string(scale),
-                 result.stats.dispatch_calls);
-      if (scale == kGateScale) indexed_gate_s = result.wall_s;
-    }
-  }
-
-  if (legacy_gate_s > 0.0 && indexed_gate_s > 0.0) {
-    const double speedup = legacy_gate_s / indexed_gate_s;
-    std::printf("\ndrain speedup @100k: %.1fx\n", speedup);
-    report.Set("speedup_100k", speedup);
-    Check(speedup >= kGateSpeedup,
-          "expected >= 10x indexed drain speedup at 100k jobs");
-  } else {
-    std::printf("\n(100k legacy/indexed pair not run — speedup gate skipped)\n");
+  // Drains at every scale up to --max-jobs; the smoke run stops at 1,000.
+  for (const int scale : {1'000, 10'000, 100'000, 1'000'000}) {
+    if (scale > max_jobs) break;
+    const auto result = RunDrain(MakeBacklog(scale));
+    Report(scale, result);
+    report.Set("indexed_wall_s_" + std::to_string(scale), result.wall_s);
+    report.Set("indexed_passes_" + std::to_string(scale),
+               result.dispatch_calls);
+    const std::uint64_t bound =
+        result.jobs_started +
+        result.dispatch_calls * (1 + kBackfillMaxJobTest);
+    Check(result.plan_candidates <= bound,
+          "@" + std::to_string(scale) + ": planner examined " +
+              std::to_string(result.plan_candidates) +
+              " queue entries, above the per-start + per-pass bound " +
+              std::to_string(bound));
   }
 
   if (!trace_path.empty()) {
-    WriteTrace(trace_path, std::min(max_jobs, kGateScale));
+    WriteTrace(trace_path, std::min(max_jobs, kArtifactScale));
     report.Set("trace_path", trace_path);
   }
   if (!timeseries_path.empty()) {
-    WriteTimeseries(timeseries_path, std::min(max_jobs, kGateScale));
+    WriteTimeseries(timeseries_path, std::min(max_jobs, kArtifactScale));
     report.Set("timeseries_path", timeseries_path);
   }
   if (overhead_check) OverheadCheck(std::min(max_jobs, 20'000));

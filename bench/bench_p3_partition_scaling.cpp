@@ -4,22 +4,19 @@
 // Phase 1 (drain): N jobs land in one SubmitBatch at t=0, routed uniformly
 // across P disjoint partitions, and the simulation runs dry. Disjoint
 // shards plan concurrently on the thread pool; per-partition pass latency
-// (dispatch_ns / dispatch_calls from the sharded SchedulerStats) is
+// (dispatch_ns / dispatch_calls from each partition's SchedMetricSet) is
 // reported alongside drain throughput.
 //
 // Phase 2 (isolation): 2 x 128-node partitions. A backlog of long jobs
 // floods partition "a"; 32 timed probe submissions then go to idle
-// partition "b". Sharded, b's planning pass never touches a's backlog;
-// legacy (the unsharded baseline) re-derives its world from the full
-// pending queue every pass, so each probe pays O(backlog).
+// partition "b", whose planning pass never touches a's backlog.
 //
-// Checked, not just reported:
+// Checked, not just reported, at every scale (smoke included):
 //  - every drain job completes, and per-partition jobs_started sums to N;
-//  - every probe starts the moment it is submitted (sim time), under both
-//    engines — b always has free nodes;
-//  - at the full 100k backlog, the legacy tail probe latency must be
-//    >= 10x the sharded tail (the acceptance criterion). The gate only
-//    arms at full scale, so --max-jobs smoke runs stay green.
+//  - every probe starts the moment it is submitted (sim time) — b always
+//    has free nodes;
+//  - b's planner examines at most 2 entries per probe: the backlog in "a"
+//    never enters it.
 //
 // Flags: --max-jobs N caps both phases (bench-smoke uses --max-jobs 2000).
 #include <algorithm>
@@ -50,7 +47,6 @@ constexpr int kCoresPerNode = 32;
 constexpr double kDurationQuantumS = 60.0;
 constexpr int kIsolationBacklog = 100'000;
 constexpr int kProbes = 32;
-constexpr double kGateTailRatio = 10.0;
 
 int g_failures = 0;
 
@@ -118,17 +114,19 @@ void RunDrain(int partitions, int count, eco::bench::BenchReport& report) {
             std::to_string(completed) + "/" + std::to_string(backlog.size()) +
             " jobs completed");
 
-  // Per-partition pass latency from the sharded stats, plus the isolation
-  // bookkeeping check: shard starts must account for every job.
+  // Per-partition pass latency from the partition metrics, plus the
+  // isolation bookkeeping check: shard starts must account for every job.
   std::uint64_t started = 0;
   double worst_pass_us = 0.0, sum_pass_us = 0.0;
   int timed = 0;
   for (const auto& partition : cluster.partitions()) {
-    const SchedulerStats* stats = cluster.sched_stats(partition.name);
-    started += stats->jobs_started;
-    if (stats->dispatch_calls > 0) {
-      const double pass_us = static_cast<double>(stats->dispatch_ns) /
-                             static_cast<double>(stats->dispatch_calls) / 1e3;
+    const SchedMetricSet* metrics = cluster.sched_metrics(partition.name);
+    started += metrics->jobs_started->Value();
+    const std::uint64_t passes = metrics->dispatch_calls->Value();
+    if (passes > 0) {
+      const double pass_us =
+          static_cast<double>(metrics->dispatch_ns->Value()) /
+          static_cast<double>(passes) / 1e3;
       worst_pass_us = std::max(worst_pass_us, pass_us);
       sum_pass_us += pass_us;
       ++timed;
@@ -149,10 +147,9 @@ void RunDrain(int partitions, int count, eco::bench::BenchReport& report) {
 
 // Floods "a" (nodes 0..127) and times probe submissions into idle "b".
 // Returns the worst single-probe submit latency in seconds.
-double RunIsolation(bool legacy, int backlog_jobs) {
+double RunIsolation(int backlog_jobs) {
   ClusterConfig config;
   config.nodes = kNodes;
-  config.use_legacy_scheduler = legacy;
   // Inline dispatch: each Submit pays its own scheduling pass, which is
   // exactly what the probe timer must observe.
   config.defer_dispatch = false;
@@ -199,21 +196,17 @@ double RunIsolation(bool legacy, int backlog_jobs) {
     Check(id.ok(), "isolation: probe accepted");
     if (id.ok()) {
       const auto job = cluster.GetJob(*id);
-      // b has idle nodes throughout: the probe must start at submit time
-      // under BOTH engines — the backlog may only cost latency, never delay.
+      // b has idle nodes throughout: the probe must start at submit time —
+      // the backlog may only cost latency, never delay.
       Check(job->state == JobState::kRunning && job->start_time == now,
-            std::string(legacy ? "legacy" : "sharded") + " probe " +
-                std::to_string(i) + " started immediately");
+            "probe " + std::to_string(i) + " started immediately");
     }
   }
-  if (!legacy) {
-    const SchedulerStats* b_stats = cluster.sched_stats("b");
-    Check(b_stats->plan_candidates <=
-              static_cast<std::uint64_t>(2 * kProbes),
-          "sharded: b's planner never examined a's backlog");
-  }
-  std::printf("probe  %-7s backlog %7d  tail submit+pass %10.1f us\n",
-              legacy ? "legacy" : "sharded", backlog_jobs, worst_s * 1e6);
+  Check(cluster.sched_metrics("b")->plan_candidates->Value() <=
+            static_cast<std::uint64_t>(2 * kProbes),
+        "b's planner never examined a's backlog");
+  std::printf("probe  sharded backlog %7d  tail submit+pass %10.1f us\n",
+              backlog_jobs, worst_s * 1e6);
   return worst_s;
 }
 
@@ -238,21 +231,7 @@ int main(int argc, char** argv) {
   }
 
   const int backlog = std::min(kIsolationBacklog, max_jobs);
-  const double sharded_tail = RunIsolation(/*legacy=*/false, backlog);
-  const double legacy_tail = RunIsolation(/*legacy=*/true, backlog);
-  report.Set("isolation_sharded_tail_us", sharded_tail * 1e6);
-  report.Set("isolation_legacy_tail_us", legacy_tail * 1e6);
-  if (backlog == kIsolationBacklog) {
-    const double ratio = legacy_tail / std::max(sharded_tail, 1e-12);
-    std::printf("\nisolation tail ratio (legacy/sharded) @100k: %.1fx\n",
-                ratio);
-    report.Set("isolation_tail_ratio_100k", ratio);
-    Check(ratio >= kGateTailRatio,
-          "expected >= 10x better idle-partition tail latency vs the "
-          "unsharded engine at 100k backlog");
-  } else {
-    std::printf("\n(backlog < 100k — isolation tail gate skipped)\n");
-  }
+  report.Set("isolation_sharded_tail_us", RunIsolation(backlog) * 1e6);
   report.Write();
 
   if (g_failures > 0) {

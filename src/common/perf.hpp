@@ -2,9 +2,8 @@
 //
 // ScopedTimer accumulates elapsed nanoseconds into a caller-owned counter on
 // scope exit (in the spirit of the ScopedChrono idiom), so a subsystem can
-// expose cheap always-on timing totals — e.g. ClusterSim's SchedulerStats —
-// without a profiler. Counters are plain integers: single-threaded hot paths
-// should not pay for atomics.
+// expose cheap always-on timing totals without a profiler. Counters are
+// plain integers: single-threaded hot paths should not pay for atomics.
 #pragma once
 
 #include <chrono>

@@ -13,7 +13,7 @@ namespace eco::slurm {
 
 namespace {
 
-// One registry family per SchedulerStats field; "" binds the unlabelled
+// One registry family per SchedMetricSet; "" binds the unlabelled
 // cluster-wide names, anything else appends partition="<name>".
 std::string SchedName(const char* base, const std::string& partition) {
   if (partition.empty()) return base;
@@ -47,21 +47,6 @@ void SchedMetricSet::Bind(telemetry::MetricsRegistry& registry,
   wait_seconds = registry.GetHistogram(
       SchedName("eco_sched_wait_seconds", partition),
       {1.0, 10.0, 60.0, 600.0, 3600.0, 86400.0});
-}
-
-SchedulerStats SchedMetricSet::Snapshot() const {
-  SchedulerStats out;
-  out.submit_calls = submit_calls->Value();
-  out.submit_ns = submit_ns->Value();
-  out.dispatch_calls = dispatch_calls->Value();
-  out.dispatch_ns = dispatch_ns->Value();
-  out.dispatch_coalesced = dispatch_coalesced->Value();
-  out.plan_candidates = plan_candidates->Value();
-  out.jobs_started = jobs_started->Value();
-  out.backfill_planned = backfill_planned->Value();
-  out.pending_peak = static_cast<std::uint64_t>(pending_peak->Value());
-  out.timeline_peak = static_cast<std::uint64_t>(timeline_peak->Value());
-  return out;
 }
 
 void SchedMetricSet::Reset() const {
@@ -168,9 +153,7 @@ ClusterSim::ClusterSim(ClusterConfig config)
       return static_cast<double>(running_.size());
     });
     config_.timeseries->TrackProbe("eco_cluster_pending_jobs", [this] {
-      return static_cast<double>(config_.use_legacy_scheduler
-                                     ? pending_.size()
-                                     : IndexedPendingDepth());
+      return static_cast<double>(PendingDepth());
     });
   }
 }
@@ -284,13 +267,11 @@ const std::vector<std::size_t>& ClusterSim::partition_nodes(
   return shards_.at(i)->node_indices;
 }
 
-const SchedulerStats* ClusterSim::sched_stats(
+const SchedMetricSet* ClusterSim::sched_metrics(
     const std::string& partition) const {
   const auto it = shard_by_name_.find(partition);
   if (it == shard_by_name_.end()) return nullptr;
-  PartitionShard& shard = *shards_[it->second];
-  shard.stats_view = shard.metrics.Snapshot();
-  return &shard.stats_view;
+  return &shards_[it->second]->metrics;
 }
 
 void ClusterSim::ResetSchedStats() {
@@ -362,7 +343,7 @@ std::vector<Result<JobId>> ClusterSim::SubmitBatch(
   // lands in shard 0 — pre-size its index once instead of rehashing during
   // the burst. Multi-partition batches skip the hint rather than over-
   // reserving every shard by the full batch size.
-  if (shards_.size() == 1 && !config_.use_legacy_scheduler) {
+  if (shards_.size() == 1) {
     shards_.front()->pending.Reserve(requests.size());
   }
   bool any_queued = false;
@@ -461,7 +442,6 @@ Result<JobId> ClusterSim::Enqueue(JobRequest request) {
   record.eligible_time = queue_.now();
   record.state = JobState::kPending;
 
-  submit_order_[id] = submit_counter_++;
   JobRecord& job = jobs_[id] = record;
   ArmTimeseriesSampler();
   shard->metrics.submit_calls->Add(1);
@@ -481,30 +461,21 @@ Result<JobId> ClusterSim::Enqueue(JobRequest request) {
       if (TraceEnabled()) {
         TraceLifecycle("eligible", it->second, "GreenWindow");
       }
-      if (config_.use_legacy_scheduler) {
-        pending_.push_back(id);
-      } else {
-        EnterPendingIndexed(it->second);
-      }
+      EnterPending(it->second);
       RequestDispatch();
     });
     if (TraceEnabled()) TraceLifecycle("hold", job, "GreenWindow");
     ECO_INFO << "job " << id << " held for green window until "
              << job.eligible_time;
-  } else if (config_.use_legacy_scheduler) {
-    pending_.push_back(id);
   } else {
-    EnterPendingIndexed(job);
+    EnterPending(job);
   }
 
-  const std::uint64_t depth = config_.use_legacy_scheduler
-                                  ? pending_.size()
-                                  : IndexedPendingDepth();
-  metrics_set_.pending_peak->SetMax(static_cast<double>(depth));
+  metrics_set_.pending_peak->SetMax(static_cast<double>(PendingDepth()));
   return id;
 }
 
-std::uint64_t ClusterSim::IndexedPendingDepth() const {
+std::uint64_t ClusterSim::PendingDepth() const {
   std::uint64_t depth = waiting_deps_.size();
   for (const auto& shard : shards_) depth += shard->pending.size();
   return depth;
@@ -514,7 +485,7 @@ IndexedJob ClusterSim::ToIndexedJob(const JobRecord& job) const {
   IndexedJob out;
   out.id = job.id;
   out.user = job.request.user_id;
-  out.tiebreak = submit_order_.at(job.id);
+  out.tiebreak = job.id;
   out.nodes_needed = job.request.min_nodes;
   out.time_limit_s = job.request.time_limit_s;
   out.eligible_time = job.eligible_time;
@@ -523,10 +494,9 @@ IndexedJob ClusterSim::ToIndexedJob(const JobRecord& job) const {
   return out;
 }
 
-void ClusterSim::EnterPendingIndexed(JobRecord& job) {
+void ClusterSim::EnterPending(JobRecord& job) {
   // Doomed dependencies (afterok on a failed/cancelled/unknown job) fail the
-  // job right away — the legacy engine reaches the same verdict in the
-  // screening pass of its next dispatch, at the same sim time.
+  // job right away.
   for (const JobId dep : job.request.depends_on) {
     const auto it = jobs_.find(dep);
     if (it == jobs_.end() || it->second.state == JobState::kFailed ||
@@ -593,29 +563,14 @@ void ClusterSim::RequestDispatch() {
   });
 }
 
-void ClusterSim::Dispatch() {
-  telemetry::ScopedCounterTimer timer(metrics_set_.dispatch_ns);
-  metrics_set_.dispatch_calls->Add(1);
-  if (config_.use_legacy_scheduler) {
-    DispatchLegacy();
-  } else {
-    DispatchSharded();
-  }
-}
-
 void ClusterSim::RemoveFromPending(JobId id) {
-  if (config_.use_legacy_scheduler) {
-    pending_.erase(std::remove(pending_.begin(), pending_.end(), id),
-                   pending_.end());
-  } else {
-    ShardOf(jobs_.at(id)).pending.Erase(id);
-  }
+  ShardOf(jobs_.at(id)).pending.Erase(id);
 }
 
 IndexedPlan ClusterSim::PlanShard(PartitionShard& shard) {
   // Runs on pool workers during parallel dispatch; the Counter handles are
   // thread-safe, and nothing here may touch the tracer (trace events come
-  // from the serial ExecutePlanIndexed so the trace is pool-size invariant).
+  // from the serial ExecutePlan so the trace is pool-size invariant).
   telemetry::ScopedCounterTimer timer(shard.metrics.dispatch_ns);
   shard.metrics.dispatch_calls->Add(1);
   IndexedPlan plan = PlanScheduleIndexed(
@@ -626,8 +581,7 @@ IndexedPlan ClusterSim::PlanShard(PartitionShard& shard) {
   return plan;
 }
 
-int ClusterSim::ExecutePlanIndexed(PartitionShard& shard,
-                                   const IndexedPlan& plan) {
+int ClusterSim::ExecutePlan(PartitionShard& shard, const IndexedPlan& plan) {
   metrics_set_.plan_candidates->Add(plan.candidates);
   metrics_set_.backfill_planned->Add(plan.backfilled);
   if (TraceEnabled() && (plan.candidates > 0 || !plan.starts.empty())) {
@@ -640,182 +594,18 @@ int ClusterSim::ExecutePlanIndexed(PartitionShard& shard,
   }
   if (plan.starts.empty()) return 0;
 
-  std::vector<JobId> to_start;
-  to_start.reserve(plan.starts.size());
-  for (const auto& start : plan.starts) {
-    // Unplanned jobs keep their last computed priority (squeue may show a
-    // stale value); the legacy engine refreshes every pending job per pass.
-    jobs_.at(start.id).priority = start.priority;
-    to_start.push_back(start.id);
-  }
-  return ExecuteStartList(to_start, shard);
-}
-
-void ClusterSim::DispatchSharded() {
-  // Only shards with pending work pay anything this pass.
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]->pending.empty()) active.push_back(i);
-  }
-  if (active.empty()) return;
-
-  // Disjoint partitions: planning touches only shard-local state (its own
-  // pending index, timeline, fair-share tracker, and its own nodes' idle
-  // flags), so all active shards plan concurrently. Execution stays serial
-  // in partition-config order — starts only consume the executing shard's
-  // nodes, so deferred plans are exactly what an interleaved serial walk
-  // would have produced, and the schedule is pool-size invariant.
-  if (!partitions_overlap_ && active.size() > 1) {
-    std::vector<IndexedPlan> plans(active.size());
-    ThreadPool& pool =
-        config_.pool != nullptr ? *config_.pool : ThreadPool::Global();
-    pool.ParallelForChunks(
-        0, static_cast<std::int64_t>(active.size()), 1,
-        [&](std::int64_t, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            plans[static_cast<std::size_t>(i)] =
-                PlanShard(*shards_[active[static_cast<std::size_t>(i)]]);
-          }
-        });
-    // A job FAILED during execution (power cap on an idle cluster, node
-    // start failure) finalizes immediately, and dooming its dependents can
-    // charge usage to another shard's fair-share tracker — state a later
-    // shard's precomputed plan already read. Replan those shards serially;
-    // shards before the first failure saw exactly what the interleaved walk
-    // would have shown them, so the schedule stays bitwise identical to it.
-    bool replan = false;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      PartitionShard& shard = *shards_[active[i]];
-      if (replan) plans[i] = PlanShard(shard);
-      if (ExecutePlanIndexed(shard, plans[i]) > 0) replan = true;
-    }
-    return;
-  }
-
-  // Overlapping partitions (or a single active shard): a shard's starts can
-  // consume nodes a later shard also owns, so plan+execute interleave in the
-  // fixed partition-config order.
-  for (const std::size_t i : active) {
-    const IndexedPlan plan = PlanShard(*shards_[i]);
-    ExecutePlanIndexed(*shards_[i], plan);
-  }
-}
-
-void ClusterSim::ScreenDoomedLegacy() {
-  // Dependency screening (afterok semantics): jobs whose dependencies can
-  // never complete are failed; looped so a doomed job's own dependents fall
-  // in the same pass regardless of queue order (the sharded engine's
-  // NotifyDependents cascade dooms them at the same sim time).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const JobId id :
-         std::vector<JobId>(pending_.begin(), pending_.end())) {
-      auto& job = jobs_.at(id);
-      bool doomed = false;
-      for (const JobId dep : job.request.depends_on) {
-        const auto it = jobs_.find(dep);
-        if (it == jobs_.end() || it->second.state == JobState::kFailed ||
-            it->second.state == JobState::kCancelled) {
-          doomed = true;
-          break;
-        }
-      }
-      if (doomed) {
-        ECO_WARN << "job " << id << " failed: DependencyNeverSatisfied";
-        pending_.erase(std::remove(pending_.begin(), pending_.end(), id),
-                       pending_.end());
-        FinalizeJob(job, JobState::kFailed, "DependencyNeverSatisfied");
-        changed = true;
-      }
-    }
-  }
-}
-
-std::vector<JobId> ClusterSim::PlanLegacyShard(PartitionShard& shard) {
-  telemetry::ScopedCounterTimer timer(shard.metrics.dispatch_ns);
-  std::vector<PlanInput> plan;
-  for (const JobId id : pending_) {
-    auto& job = jobs_.at(id);
-    if (job.request.partition != shard.config->name) continue;
-    // Still-waiting dependencies keep the job out of this pass.
-    bool waiting = false;
-    for (const JobId dep : job.request.depends_on) {
-      if (jobs_.at(dep).state != JobState::kCompleted) {
-        waiting = true;
-        break;
-      }
-    }
-    if (waiting) continue;
-    job.priority = config_.use_multifactor
-                       ? priority_.Compute(job, queue_.now(), shard.fairshare)
-                       : 0.0;
-    PlanInput input;
-    input.id = id;
-    input.nodes_needed = job.request.min_nodes;
-    input.time_limit_s = job.request.time_limit_s;
-    input.priority = job.priority;
-    input.tiebreak = submit_order_.at(id);
-    plan.push_back(input);
-  }
-  metrics_set_.plan_candidates->Add(plan.size());
-  shard.metrics.plan_candidates->Add(plan.size());
-  if (plan.empty()) return {};
-  shard.metrics.dispatch_calls->Add(1);
-
-  // Release horizon of every job holding nodes this partition owns — jobs
-  // started through an overlapping partition block this one too.
-  std::vector<RunningInput> running;
-  for (const auto& [id, run] : running_) {
-    int held = 0;
-    for (const std::size_t i : run.node_indices) {
-      if (shard.member[i]) ++held;
-    }
-    if (held == 0) continue;
-    const auto& job = jobs_.at(id);
-    RunningInput input;
-    input.nodes_held = held;
-    input.expected_end = job.start_time + job.request.time_limit_s;
-    running.push_back(input);
-  }
-
-  return PlanSchedule(config_.policy, plan, running, FreeNodesInShard(shard),
-                      static_cast<int>(shard.node_indices.size()),
-                      queue_.now());
-}
-
-void ClusterSim::DispatchLegacy() {
-  if (pending_.empty()) return;
-  ScreenDoomedLegacy();
-
-  int failed = 0;
-  for (const auto& shard : shards_) {
-    if (pending_.empty()) break;
-    const std::vector<JobId> to_start = PlanLegacyShard(*shard);
-    if (TraceEnabled() && !to_start.empty()) {
-      JsonObject args;
-      args["partition"] = Json(shard->config->name);
-      args["planned"] = Json(static_cast<long long>(to_start.size()));
-      tracer_->Instant(queue_.now(), "plan", "sched", std::move(args));
-    }
-    failed += ExecuteStartList(to_start, *shard);
-  }
-  // A job failed during execution (power cap on an idle cluster, node start
-  // failure) dooms its dependents NOW, like the sharded engine's
-  // NotifyDependents — not at some later pass.
-  if (failed > 0) ScreenDoomedLegacy();
-}
-
-int ClusterSim::ExecuteStartList(const std::vector<JobId>& to_start,
-                                 PartitionShard& shard) {
   // Power-cap policy ([12]-style budget): track the projected cluster draw
   // and skip jobs that would breach it; they stay queued for the next pass.
   double projected_watts =
       config_.power_cap_watts > 0.0 ? ClusterWatts() : 0.0;
 
   int failed = 0;
-  for (const JobId id : to_start) {
+  for (const auto& start : plan.starts) {
+    const JobId id = start.id;
     auto& job = jobs_.at(id);
+    // Unplanned jobs keep their last computed priority (squeue may show a
+    // stale value).
+    job.priority = start.priority;
     if (config_.power_cap_watts > 0.0) {
       const double estimate = EstimateJobWatts(job.request);
       if (projected_watts + estimate > config_.power_cap_watts) {
@@ -860,6 +650,58 @@ int ClusterSim::ExecuteStartList(const std::vector<JobId>& to_start,
     }
   }
   return failed;
+}
+
+void ClusterSim::Dispatch() {
+  telemetry::ScopedCounterTimer timer(metrics_set_.dispatch_ns);
+  metrics_set_.dispatch_calls->Add(1);
+  // Only shards with pending work pay anything this pass.
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (!shards_[i]->pending.empty()) active.push_back(i);
+  }
+  if (active.empty()) return;
+
+  // Disjoint partitions: planning touches only shard-local state (its own
+  // pending index, timeline, fair-share tracker, and its own nodes' idle
+  // flags), so all active shards plan concurrently. Execution stays serial
+  // in partition-config order — starts only consume the executing shard's
+  // nodes, so deferred plans are exactly what an interleaved serial walk
+  // would have produced, and the schedule is pool-size invariant.
+  if (!partitions_overlap_ && active.size() > 1) {
+    std::vector<IndexedPlan> plans(active.size());
+    ThreadPool& pool =
+        config_.pool != nullptr ? *config_.pool : ThreadPool::Global();
+    pool.ParallelForChunks(
+        0, static_cast<std::int64_t>(active.size()), 1,
+        [&](std::int64_t, std::int64_t begin, std::int64_t end) {
+          for (std::int64_t i = begin; i < end; ++i) {
+            plans[static_cast<std::size_t>(i)] =
+                PlanShard(*shards_[active[static_cast<std::size_t>(i)]]);
+          }
+        });
+    // A job FAILED during execution (power cap on an idle cluster, node
+    // start failure) finalizes immediately, and dooming its dependents can
+    // charge usage to another shard's fair-share tracker — state a later
+    // shard's precomputed plan already read. Replan those shards serially;
+    // shards before the first failure saw exactly what the interleaved walk
+    // would have shown them, so the schedule stays bitwise identical to it.
+    bool replan = false;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      PartitionShard& shard = *shards_[active[i]];
+      if (replan) plans[i] = PlanShard(shard);
+      if (ExecutePlan(shard, plans[i]) > 0) replan = true;
+    }
+    return;
+  }
+
+  // Overlapping partitions (or a single active shard): a shard's starts can
+  // consume nodes a later shard also owns, so plan+execute interleave in the
+  // fixed partition-config order.
+  for (const std::size_t i : active) {
+    const IndexedPlan plan = PlanShard(*shards_[i]);
+    ExecutePlan(*shards_[i], plan);
+  }
 }
 
 Status ClusterSim::StartJob(JobRecord& job,
@@ -1002,8 +844,8 @@ void ClusterSim::FinalizeJob(JobRecord& job, JobState state,
       tracer_->Record(std::move(span));
     }
   }
-  // Usage decays within the job's partition only: both engines charge the
-  // shard's tracker, so legacy-vs-sharded equivalence holds per partition.
+  // Usage decays within the job's partition only: the shard's tracker is
+  // charged, so fair share is per partition (the goldens pin this).
   ShardOf(job).fairshare.AddUsage(
       job.request.user_id, job.RunSeconds() * job.request.num_tasks,
       queue_.now());
@@ -1017,9 +859,7 @@ void ClusterSim::FinalizeJob(JobRecord& job, JobState state,
     job.attributed_joules = config_.energy_ledger->JobJoules(job.id);
   }
   accounting_.Record(job);
-  if (!config_.use_legacy_scheduler) {
-    NotifyDependents(job.id, state == JobState::kCompleted);
-  }
+  NotifyDependents(job.id, state == JobState::kCompleted);
 }
 
 Status ClusterSim::Cancel(JobId id) {

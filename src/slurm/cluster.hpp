@@ -7,19 +7,15 @@
 // GetJob() is scontrol show job, accounting() is sacct/slurmdbd, and
 // RunJobToCompletion() is srun's blocking behaviour.
 //
-// Two scheduler engines share the same policy semantics (see DESIGN.md,
-// "Scheduler complexity"):
-//   - sharded/indexed (default): one PendingIndex + NodeTimeline + fair-share
-//     tracker per partition; dispatch cost scales with what it starts, not
-//     with queue depth, and a backlog in one partition cannot stall another.
-//     Partitions with disjoint node sets plan concurrently on the shared
-//     ThreadPool; overlapping partitions fall back to a deterministic serial
-//     walk in partition-config order. Either way the schedule is bitwise
-//     identical to the fixed-order serial walk at any pool size.
-//   - legacy (use_legacy_scheduler): the original sort-everything pass (now
-//     walked per partition in the same fixed order), kept as the A/B
-//     baseline for the throughput benches and the schedule-equivalence
-//     suite.
+// The scheduler (see DESIGN.md, "Scheduler complexity") keeps one
+// PendingIndex + NodeTimeline + fair-share tracker per partition; dispatch
+// cost scales with what it starts, not with queue depth, and a backlog in
+// one partition cannot stall another. Partitions with disjoint node sets
+// plan concurrently on the shared ThreadPool; overlapping partitions fall
+// back to a deterministic serial walk in partition-config order. Either way
+// the schedule is bitwise identical to the fixed-order serial walk at any
+// pool size, and the scheduler suites pin it to golden digests frozen from
+// the sort-everything reference engine it replaced.
 #pragma once
 
 #include <cstdint>
@@ -95,18 +91,14 @@ struct ClusterConfig {
   // the related work [12] (Kumbhare et al., "Dynamic Power Management for
   // Value-Oriented Schedulers in Power-Constrained HPC Systems").
   double power_cap_watts = 0.0;
-  // A/B switch: run the pre-index scheduler (full priority recompute + sort
-  // per pass). Kept for benchmarking and the equivalence suite; both engines
-  // produce the same schedule on the workloads those tests cover.
-  bool use_legacy_scheduler = false;
   // Coalesce dispatch requests landing at one sim timestamp into a single
   // scheduling pass, run as its own event (slurmctld's deferred sched loop).
   // Off by default: every submit/completion dispatches inline, as before.
   bool defer_dispatch = false;
-  // Indexed engine only: examine at most this many backfill candidates per
-  // pass (Slurm's bf_max_job_test). 0 = unlimited, matching legacy.
+  // Examine at most this many backfill candidates per pass (Slurm's
+  // bf_max_job_test). 0 = unlimited, matching the reference PlanSchedule.
   int backfill_max_job_test = 0;
-  // Pool the sharded engine plans disjoint partitions on. nullptr selects
+  // Pool the scheduler plans disjoint partitions on. nullptr selects
   // the process-wide ThreadPool::Global(). The schedule is pool-size
   // invariant; the pool only changes wall-clock time.
   ThreadPool* pool = nullptr;
@@ -132,54 +124,32 @@ struct ClusterConfig {
   EnergyLedger* energy_ledger = nullptr;
 };
 
-// Snapshot of the scheduler's hot-path counters, assembled on demand from
-// the telemetry registry (the live values are Counter/Gauge handles in a
-// SchedMetricSet). One cluster-wide aggregate is exposed via sched_stats();
-// the sharded engine additionally keeps one family per partition, exposed
-// via sched_stats(partition_name) — there dispatch_calls/dispatch_ns count
-// the partition's own planning passes, so per-partition pass latency is
-// dispatch_ns / dispatch_calls. DEPRECATED for new code: read the registry
-// (ClusterSim::metrics()) or Sdiag() instead; these accessors exist for the
-// established tests and benches.
-struct SchedulerStats {
-  std::uint64_t submit_calls = 0;
-  std::uint64_t submit_ns = 0;
-  std::uint64_t dispatch_calls = 0;
-  std::uint64_t dispatch_ns = 0;
-  // Dispatch requests absorbed into an already-scheduled deferred pass.
-  std::uint64_t dispatch_coalesced = 0;
-  // Queue entries the planner examined (legacy: whole eligible queue per
-  // pass; indexed: only popped candidates).
-  std::uint64_t plan_candidates = 0;
-  std::uint64_t jobs_started = 0;
-  // Indexed engine only: starts planned past a blocked head.
-  std::uint64_t backfill_planned = 0;
-  std::uint64_t pending_peak = 0;   // deepest pending queue observed
-  std::uint64_t timeline_peak = 0;  // most concurrent running entries
-};
-
-// The registry handles behind one SchedulerStats family. Bind() registers
-// the family ("" = the cluster-wide aggregate, otherwise every metric name
-// carries a partition="..." label); Snapshot() materialises the legacy
-// struct view. Counter handles are safe to bump from pool workers (the
-// sharded engine's parallel planning).
+// The scheduler's hot-path metrics: registry handles for one family.
+// Bind() registers the family ("" = the cluster-wide aggregate, otherwise
+// every metric name carries a partition="..." label). In a partition's
+// family dispatch_calls/dispatch_ns count the partition's own planning
+// passes, so per-partition pass latency is dispatch_ns / dispatch_calls.
+// Counter handles are safe to bump from pool workers (parallel planning);
+// the handles are owned by the registry and live as long as it does.
 struct SchedMetricSet {
   telemetry::Counter* submit_calls = nullptr;
   telemetry::Counter* submit_ns = nullptr;
   telemetry::Counter* dispatch_calls = nullptr;
   telemetry::Counter* dispatch_ns = nullptr;
+  // Dispatch requests absorbed into an already-scheduled deferred pass.
   telemetry::Counter* dispatch_coalesced = nullptr;
+  // Queue entries the planner examined (popped candidates only).
   telemetry::Counter* plan_candidates = nullptr;
   telemetry::Counter* jobs_started = nullptr;
+  // Starts planned past a blocked head.
   telemetry::Counter* backfill_planned = nullptr;
-  telemetry::Gauge* pending_peak = nullptr;
-  telemetry::Gauge* timeline_peak = nullptr;
+  telemetry::Gauge* pending_peak = nullptr;   // deepest pending queue observed
+  telemetry::Gauge* timeline_peak = nullptr;  // most concurrent running jobs
   // Queue-wait seconds observed at each job start (sdiag's per-partition
   // queue histogram).
   telemetry::Histogram* wait_seconds = nullptr;
 
   void Bind(telemetry::MetricsRegistry& registry, const std::string& partition);
-  [[nodiscard]] SchedulerStats Snapshot() const;
   void Reset() const;
 };
 
@@ -231,8 +201,8 @@ class ClusterSim {
   // Node indices owned by partitions()[i], sorted ascending.
   [[nodiscard]] const std::vector<std::size_t>& partition_nodes(
       std::size_t i) const;
-  // True when any node belongs to more than one partition (forces the
-  // sharded engine onto the serial dispatch walk).
+  // True when any node belongs to more than one partition (forces dispatch
+  // onto the serial walk).
   [[nodiscard]] bool partitions_overlap() const { return partitions_overlap_; }
   // Idle nodes within one partition's node set; -1 for an unknown name.
   [[nodiscard]] int FreeNodesIn(const std::string& partition) const;
@@ -278,15 +248,12 @@ class ClusterSim {
   // lane, tracks 1..N are the node lanes the job-run spans land on.
   [[nodiscard]] std::vector<std::string> TelemetryTrackNames() const;
 
-  // DEPRECATED struct view (see SchedulerStats): snapshots the registry on
-  // every call. Prefer metrics() / commands::Sdiag().
-  [[nodiscard]] const SchedulerStats& sched_stats() const {
-    stats_view_ = metrics_set_.Snapshot();
-    return stats_view_;
+  // The cluster-wide scheduler metric family.
+  [[nodiscard]] const SchedMetricSet& sched_metrics() const {
+    return metrics_set_;
   }
-  // Per-partition counters (both engines fill them); nullptr for an unknown
-  // partition name. Same deprecation note as sched_stats().
-  [[nodiscard]] const SchedulerStats* sched_stats(
+  // One partition's family; nullptr for an unknown partition name.
+  [[nodiscard]] const SchedMetricSet* sched_metrics(
       const std::string& partition) const;
   void ResetSchedStats();
 
@@ -311,41 +278,28 @@ class ClusterSim {
     std::vector<std::size_t> node_indices;  // sorted ascending
     std::vector<char> member;               // per-node membership bitmap
     FairShareTracker fairshare;             // per-partition decayed usage
-    PendingIndex pending;                   // sharded engine
-    NodeTimeline timeline;  // kept current in both modes; overlap-aware
-    SchedMetricSet metrics;          // partition="<name>" registry family
-    mutable SchedulerStats stats_view;  // refreshed by sched_stats(name)
+    PendingIndex pending;
+    NodeTimeline timeline;   // overlap-aware: holds this shard's node slice
+    SchedMetricSet metrics;  // partition="<name>" registry family
   };
 
   // Validate + plugin pipeline + queue, WITHOUT a scheduling pass.
   Result<JobId> Enqueue(JobRequest request);
   // Dispatch now, or coalesce into one same-timestamp event (defer mode).
   void RequestDispatch();
+  // One scheduling pass over every shard with pending work.
   void Dispatch();
-  void DispatchLegacy();
-  void DispatchSharded();
-  // One shard's planning pass (sharded engine). Touches only shard-local
-  // state, so disjoint shards may run this concurrently.
+  // One shard's planning pass. Touches only shard-local state, so disjoint
+  // shards may run this concurrently.
   [[nodiscard]] IndexedPlan PlanShard(PartitionShard& shard);
-  // One shard's legacy pass: filter pending_ by partition, recompute
-  // priorities against the shard's fair-share tracker, full sort.
-  [[nodiscard]] std::vector<JobId> PlanLegacyShard(PartitionShard& shard);
-  // Returns the number of jobs FAILED during execution (see
-  // ExecuteStartList) so the parallel dispatch can replan later shards.
-  int ExecutePlanIndexed(PartitionShard& shard, const IndexedPlan& plan);
-  // The shared tail of both engines: power cap, node pick, start, dequeue.
-  // Returns the number of jobs it had to FAIL (power cap on idle cluster or
-  // node start failure) so the legacy walk can re-screen dependents.
-  int ExecuteStartList(const std::vector<JobId>& to_start,
-                       PartitionShard& shard);
-  // Legacy engine: fail pending jobs whose dependencies can never complete,
-  // looping until the doom cascade reaches a fixpoint (matches the sharded
-  // engine's recursive NotifyDependents timing).
-  void ScreenDoomedLegacy();
+  // Applies a shard's plan: power cap, node pick, start, dequeue. Returns
+  // the number of jobs it had to FAIL (power cap on an idle cluster or node
+  // start failure) so the parallel dispatch can replan later shards.
+  int ExecutePlan(PartitionShard& shard, const IndexedPlan& plan);
   void RemoveFromPending(JobId id);
-  // Sharded engine: index the job, park it on unmet dependencies, or doom it.
-  void EnterPendingIndexed(JobRecord& job);
-  // Sharded engine: wake or doom jobs waiting on `id` after it finalized.
+  // Index the job, park it on unmet dependencies, or doom it.
+  void EnterPending(JobRecord& job);
+  // Wake or doom jobs waiting on `id` after it finalized.
   void NotifyDependents(JobId id, bool completed);
   [[nodiscard]] IndexedJob ToIndexedJob(const JobRecord& job) const;
   Status StartJob(JobRecord& job, const std::vector<std::size_t>& node_idx);
@@ -373,7 +327,7 @@ class ClusterSim {
   [[nodiscard]] std::vector<std::size_t> PickFreeNodes(
       const PartitionShard& shard, int count) const;
   void RemoveFromTimelines(JobId id);
-  [[nodiscard]] std::uint64_t IndexedPendingDepth() const;
+  [[nodiscard]] std::uint64_t PendingDepth() const;
 
   ClusterConfig config_;
   EventQueue queue_;
@@ -391,25 +345,23 @@ class ClusterSim {
   bool partitions_overlap_ = false;
   std::map<JobId, JobRecord> jobs_;
   std::map<JobId, RunningJob> running_;
-  std::vector<JobId> pending_;  // legacy engine; submission order preserved
-  // Dependency tables (sharded engine): jobs parked on unmet afterok deps
-  // (id -> count still outstanding) and the reverse edges that wake them.
+  // Dependency tables: jobs parked on unmet afterok deps (id -> count still
+  // outstanding) and the reverse edges that wake them.
   std::unordered_map<JobId, int> waiting_deps_;
   std::unordered_map<JobId, std::vector<JobId>> dependents_;
   bool dispatch_scheduled_ = false;  // a deferred pass is already queued
   bool ts_sampler_armed_ = false;    // a SampleAll event is already queued
   // Telemetry: the private fallback registry, the registry actually in use,
-  // the optional tracer, the cluster-wide metric family and its snapshot
-  // view, and the node-name -> trace-track map (track 0 = scheduler).
+  // the optional tracer, the cluster-wide metric family, and the node-name
+  // -> trace-track map (track 0 = scheduler).
   std::unique_ptr<telemetry::MetricsRegistry> owned_metrics_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::Tracer* tracer_ = nullptr;
   SchedMetricSet metrics_set_;
-  mutable SchedulerStats stats_view_;
   std::unordered_map<std::string, int> node_track_by_name_;
+  // Ids are assigned in submission order, so they double as the priority
+  // tiebreak.
   JobId next_id_ = 1;
-  std::uint64_t submit_counter_ = 0;
-  std::map<JobId, std::uint64_t> submit_order_;
 };
 
 }  // namespace eco::slurm

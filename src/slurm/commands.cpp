@@ -123,34 +123,45 @@ std::string ScontrolShowJob(const ClusterSim& cluster, JobId id) {
 
 namespace {
 
-std::string MeanNanos(std::uint64_t total_ns, std::uint64_t calls) {
-  if (calls == 0) return "n/a";
-  return FormatNanos(total_ns / calls);
+std::string MeanNanos(const telemetry::Counter* total_ns,
+                      const telemetry::Counter* calls) {
+  if (calls->Value() == 0) return "n/a";
+  return FormatNanos(total_ns->Value() / calls->Value());
+}
+
+// Peaks are integral counts kept in a double gauge; print them as integers
+// (a peak of 10^6 must not render as 1e+06).
+std::uint64_t Peak(const telemetry::Gauge* gauge) {
+  return static_cast<std::uint64_t>(gauge->Value());
 }
 
 }  // namespace
 
 std::string Sdiag(const ClusterSim& cluster) {
-  const SchedulerStats stats = cluster.sched_stats();
+  const SchedMetricSet& stats = cluster.sched_metrics();
   std::ostringstream out;
   out << "*******************************************************\n";
   out << "sdiag output at t=" << FormatDouble(cluster.Now(), 1) << "s\n";
   out << "*******************************************************\n";
   out << "Main schedule statistics (microseconds):\n";
-  out << "  Submit calls:            " << stats.submit_calls << "\n";
+  out << "  Submit calls:            " << stats.submit_calls->Value() << "\n";
   out << "  Mean submit latency:     "
       << MeanNanos(stats.submit_ns, stats.submit_calls) << "\n";
-  out << "  Schedule cycles:         " << stats.dispatch_calls << "\n";
+  out << "  Schedule cycles:         " << stats.dispatch_calls->Value()
+      << "\n";
   out << "  Mean cycle time:         "
       << MeanNanos(stats.dispatch_ns, stats.dispatch_calls) << "\n";
-  out << "  Total cycle time:        " << FormatNanos(stats.dispatch_ns)
+  out << "  Total cycle time:        "
+      << FormatNanos(stats.dispatch_ns->Value()) << "\n";
+  out << "  Cycles coalesced:        " << stats.dispatch_coalesced->Value()
       << "\n";
-  out << "  Cycles coalesced:        " << stats.dispatch_coalesced << "\n";
-  out << "  Queue candidates seen:   " << stats.plan_candidates << "\n";
-  out << "  Jobs started:            " << stats.jobs_started << "\n";
-  out << "  Backfilled jobs:         " << stats.backfill_planned << "\n";
-  out << "  Pending queue peak:      " << stats.pending_peak << "\n";
-  out << "  Concurrent running peak: " << stats.timeline_peak << "\n";
+  out << "  Queue candidates seen:   " << stats.plan_candidates->Value()
+      << "\n";
+  out << "  Jobs started:            " << stats.jobs_started->Value() << "\n";
+  out << "  Backfilled jobs:         " << stats.backfill_planned->Value()
+      << "\n";
+  out << "  Pending queue peak:      " << Peak(stats.pending_peak) << "\n";
+  out << "  Concurrent running peak: " << Peak(stats.timeline_peak) << "\n";
 
   // Eco plugin decision cache (published into the process-wide registry by
   // job_submit_eco; absent when the plugin never ran).
@@ -318,23 +329,21 @@ std::string Sdiag(const ClusterSim& cluster) {
 
   out << "Per-partition statistics:\n";
   for (const PartitionConfig& partition : cluster.partitions()) {
-    const SchedulerStats* ps = cluster.sched_stats(partition.name);
+    const SchedMetricSet* ps = cluster.sched_metrics(partition.name);
     if (ps == nullptr) continue;
     out << "  Partition " << partition.name << ":\n";
-    out << "    Submitted: " << ps->submit_calls
-        << "  Started: " << ps->jobs_started
-        << "  Backfilled: " << ps->backfill_planned << "\n";
-    out << "    Planning passes: " << ps->dispatch_calls
+    out << "    Submitted: " << ps->submit_calls->Value()
+        << "  Started: " << ps->jobs_started->Value()
+        << "  Backfilled: " << ps->backfill_planned->Value() << "\n";
+    out << "    Planning passes: " << ps->dispatch_calls->Value()
         << "  Mean pass time: "
         << MeanNanos(ps->dispatch_ns, ps->dispatch_calls)
-        << "  Candidates: " << ps->plan_candidates << "\n";
-    out << "    Pending peak: " << ps->pending_peak
-        << "  Timeline peak: " << ps->timeline_peak << "\n";
-    const telemetry::Histogram* wait = cluster.metrics().FindHistogram(
-        telemetry::LabeledName("eco_sched_wait_seconds", "partition",
-                               partition.name));
-    if (wait != nullptr && wait->Count() > 0) {
-      out << "    Queue wait (s): " << wait->FormatBuckets() << "\n";
+        << "  Candidates: " << ps->plan_candidates->Value() << "\n";
+    out << "    Pending peak: " << Peak(ps->pending_peak)
+        << "  Timeline peak: " << Peak(ps->timeline_peak) << "\n";
+    if (ps->wait_seconds->Count() > 0) {
+      out << "    Queue wait (s): " << ps->wait_seconds->FormatBuckets()
+          << "\n";
     }
   }
   return out.str();

@@ -87,7 +87,7 @@ double PendingIndex::Cursor::PriorityOf(const IndexedJob& job,
                                         double fs_factor) const {
   if (!index_->multifactor_) return 0.0;
   // Same expression, same operand order, same cached-factor inputs as the
-  // legacy MultifactorPriority::Compute — bitwise identical results.
+  // MultifactorPriority::Compute — bitwise identical results.
   return index_->priority_->ComputeFromFactors(
       std::max(0.0, now_ - job.eligible_time), job.size_factor, fs_factor);
 }
@@ -101,8 +101,8 @@ PendingIndex::Cursor::Cursor(const PendingIndex* index, SimTime now)
     state.bucket = &bucket;
     state.growing = bucket.growing.begin();
     state.saturated = bucket.saturated.begin();
-    // One fair-share evaluation per user per pass; the legacy path evaluates
-    // it per job, but Factor() is pure in (user, now, tracker state) so the
+    // One fair-share evaluation per user per pass; Compute() evaluates it
+    // per job, but Factor() is pure in (user, now, tracker state) so the
     // cached value is bitwise the same.
     state.fs_factor = index_->multifactor_
                           ? index_->fairshare_->Factor(user, now)

@@ -129,8 +129,12 @@ std::vector<JobId> PlanSchedule(SchedulerPolicy policy,
   };
   std::vector<Release> releases;
   for (const auto& r : running) releases.push_back({r.expected_end, r.nodes_held});
-  std::sort(releases.begin(), releases.end(),
-            [](const Release& a, const Release& b) { return a.when < b.when; });
+  // Stable: releases that tie on time keep the caller's job-id order, the
+  // order NodeTimeline scans them in. The count reached at the tie decides
+  // the spare nodes beside the head.
+  std::stable_sort(
+      releases.begin(), releases.end(),
+      [](const Release& a, const Release& b) { return a.when < b.when; });
 
   SimTime shadow_time = now;
   int avail = free_nodes;

@@ -21,9 +21,9 @@ namespace eco::slurm {
 // ClusterSim keeps one tracker per partition shard: usage accrues in the
 // partition a job ran in, so a user burning hours in one partition keeps
 // full fair-share standing in another (Slurm's
-// PriorityFlags=NO_FAIR_TREE-style per-partition accounting). Both engines
-// charge the same shard tracker, which is what keeps legacy-vs-sharded
-// schedules byte-identical.
+// PriorityFlags=NO_FAIR_TREE-style per-partition accounting). The scheduler
+// suites' golden schedules, frozen from the sort-everything engine that
+// ranked against the same per-partition trackers, pin this.
 //
 // The cluster-wide decayed total is maintained incrementally: every user's
 // contribution decays at the same exponential rate, so the total itself
@@ -36,8 +36,8 @@ namespace eco::slurm {
 // O(log(users / buckets)) inside one bucket's map, so a million-user roster
 // behaves like a sixteen-thousand-user one. The decayed total stays a single
 // cluster-wide (amount, as_of) pair — splitting it per bucket would reorder
-// the floating-point sums and break the bitwise legacy-vs-sharded schedule
-// equivalence the test suite pins down.
+// the floating-point sums and move the golden schedule digests the
+// scheduler suites pin down.
 class FairShareTracker {
  public:
   // Slurm's PriorityDecayHalfLife default. ClusterConfig::
@@ -130,6 +130,12 @@ struct RunningInput {
 // stop at the first job that does not fit. Backfill (EASY): the blocked head
 // gets a shadow reservation; lower-priority jobs may start only if they fit
 // in the spare nodes and finish (by time limit) before the shadow time.
+// `running` is in job-id order; releases that tie on time count toward the
+// reservation in that order.
+//
+// This is the reference planner: a full sort and a fresh release scan per
+// call. The scheduler runs PlanScheduleIndexed (sched_index.hpp), which
+// test_sched_index.cpp checks against this on randomized states.
 std::vector<JobId> PlanSchedule(SchedulerPolicy policy,
                                 std::vector<PlanInput> pending,
                                 const std::vector<RunningInput>& running,

@@ -7,9 +7,9 @@
 //   - the conservation invariant on a 1k-job multi-partition workload:
 //     attributed + idle joules == what an EnergyGatherHost wired to the
 //     same node taps (RAPL flavour) reports, within 1e-6 relative;
-//   - ToJson() byte-identical across ThreadPool sizes 1/4/8 and across
-//     the legacy and sharded scheduler engines (tsan-labelled — the
-//     sharded engine plans partitions on pool workers);
+//   - ToJson() byte-identical across ThreadPool sizes 1/4/8 (tsan-labelled
+//     — the scheduler plans partitions on pool workers) and equal to a
+//     golden digest frozen from the reference scheduler engine;
 //   - attributed joules flowing into JobRecord / AccountingDb totals /
 //     the sacct CSV ledger_kj column, and the sdiag ledger + time-series
 //     sections.
@@ -29,6 +29,7 @@
 #include "common/thread_pool.hpp"
 #include "hw/rapl.hpp"
 #include "plugin/acct_gather_energy.hpp"
+#include "schedule_golden.hpp"
 #include "slurm/cluster.hpp"
 #include "slurm/commands.hpp"
 #include "slurm/energy_gather.hpp"
@@ -156,11 +157,10 @@ TEST(EnergyLedgerUnit, FinalizeRollsAggregatesOnceAndAccumulatesEdp) {
 
 // The four-disjoint-partition workload the trace determinism test uses:
 // 16 nodes, 4 partitions of 4 nodes, 1000 generated jobs across 8 users.
-ClusterConfig HarnessConfig(ThreadPool* pool, bool legacy) {
+ClusterConfig HarnessConfig(ThreadPool* pool) {
   ClusterConfig config;
   config.nodes = 16;
   config.defer_dispatch = true;
-  config.use_legacy_scheduler = legacy;
   config.pool = pool;
   config.partitions.clear();
   for (int p = 0; p < 4; ++p) {
@@ -203,10 +203,10 @@ struct LedgerRun {
 // RAPL counter accumulates every tap's system joules and an
 // EnergyGatherHost polls it every 5 sim-seconds (idle energy flushed
 // first, so no single MSR delta can exceed the 32-bit wrap).
-LedgerRun RunLedgerWorkload(int threads, bool legacy, bool with_host) {
+LedgerRun RunLedgerWorkload(int threads, bool with_host) {
   ThreadPool pool(threads);
   EnergyLedger ledger;
-  ClusterConfig config = HarnessConfig(&pool, legacy);
+  ClusterConfig config = HarnessConfig(&pool);
   config.energy_ledger = &ledger;
   ClusterSim cluster(config);
 
@@ -263,8 +263,7 @@ LedgerRun RunLedgerWorkload(int threads, bool legacy, bool with_host) {
 TEST_F(EnergyLedgerTest, ConservationMatchesEnergyGatherHostAcrossPools) {
   std::vector<LedgerRun> runs;
   for (const int threads : {1, 4, 8}) {
-    runs.push_back(RunLedgerWorkload(threads, /*legacy=*/false,
-                                     /*with_host=*/true));
+    runs.push_back(RunLedgerWorkload(threads, /*with_host=*/true));
   }
   for (const LedgerRun& run : runs) {
     ASSERT_GT(run.host_joules, 0.0);
@@ -282,14 +281,12 @@ TEST_F(EnergyLedgerTest, ConservationMatchesEnergyGatherHostAcrossPools) {
   EXPECT_EQ(runs[0].dump, runs[2].dump);
 }
 
-// The legacy and sharded engines produce the same schedule on this
-// workload (the equivalence suite's contract), so the same energy books.
+// The harness workload's books, frozen as a golden from the reference
+// sort-everything engine (see schedule_golden.hpp). ToJson() carries every
+// per-job entry and aggregate, so a schedule change moves the digest too.
 TEST_F(EnergyLedgerTest, LegacyAndShardedEnginesKeepIdenticalBooks) {
-  const LedgerRun sharded =
-      RunLedgerWorkload(4, /*legacy=*/false, /*with_host=*/false);
-  const LedgerRun legacy =
-      RunLedgerWorkload(1, /*legacy=*/true, /*with_host=*/false);
-  EXPECT_EQ(sharded.dump, legacy.dump);
+  const LedgerRun run = RunLedgerWorkload(4, /*with_host=*/false);
+  EXPECT_EQ(slurm::golden::Digest(run.dump), "a8669843d19bc25f") << run.dump;
 }
 
 // ---------------------------------------- accounting / sacct / sdiag

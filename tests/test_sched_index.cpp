@@ -1,8 +1,10 @@
 // Unit tests for the million-job scheduling structures: PendingIndex order
 // fidelity against a brute-force sort, NodeTimeline shadow computation
-// against the legacy release scan, the EventQueue's equal-timestamp FIFO
-// contract, the incremental fair-share total, the perf counters, and the
-// batched submission paths (SubmitBatch / SubmitScripts / PumpWorkload).
+// against a fresh sorted release scan, PlanScheduleIndexed against the
+// reference PlanSchedule on randomized states, the EventQueue's
+// equal-timestamp FIFO contract, the incremental fair-share total, the perf
+// counters, and the batched submission paths (SubmitBatch / SubmitScripts /
+// PumpWorkload).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,7 +31,7 @@ struct RefJob {
   bool present = true;
 };
 
-// The order the legacy engine would produce: full recompute + sort.
+// The order a sort-everything scheduler produces: full recompute + sort.
 std::vector<JobId> BruteForceOrder(const std::vector<RefJob>& jobs,
                                    const MultifactorPriority& priority,
                                    const FairShareTracker& fairshare,
@@ -225,8 +227,8 @@ TEST(NodeTimeline, ShadowMatchesLegacyReleaseScan) {
     }
     ASSERT_EQ(timeline.size(), reference.size());
 
-    // Replays the exact loop the legacy planner ran over its sorted
-    // releases vector, with (when, id) tie order.
+    // Replays the exact loop PlanSchedule runs over its sorted releases
+    // vector, with (when, id) tie order.
     const int free_now = rng.UniformInt(0, 4);
     const int needed = rng.UniformInt(1, 16);
     const SimTime now = rng.Uniform(0.0, 500.0);
@@ -275,6 +277,151 @@ TEST(NodeTimeline, RemoveIsIdempotentAndTieOrderIsById) {
   timeline.Remove(1);
   timeline.Remove(1);
   EXPECT_EQ(timeline.size(), 1u);
+}
+
+// ------------------------------- indexed planner vs the reference planner
+
+// One planning state, fed identically to PlanSchedule (the reference
+// planner: full sort, fresh release scan) and to PlanScheduleIndexed.
+struct PlanState {
+  SchedulerPolicy policy = SchedulerPolicy::kBackfill;
+  bool multifactor = true;
+  MultifactorWeights weights;
+  int total_nodes = 0;
+  int free_nodes = 0;
+  SimTime now = 1000.0;
+  std::vector<IndexedJob> pending;
+  struct Running {
+    JobId id;
+    SimTime release;
+    int nodes;
+  };
+  std::vector<Running> running;  // in id order
+  std::vector<std::pair<std::uint32_t, double>> usage;  // (user, cpu-s) at t=0
+};
+
+struct PlanPair {
+  std::vector<JobId> reference;
+  std::vector<JobId> indexed;
+};
+
+PlanPair PlanBoth(const PlanState& state) {
+  const MultifactorPriority priority(state.weights, 32 * state.total_nodes);
+  FairShareTracker fairshare(3600.0);
+  for (const auto& [user, cpu_s] : state.usage) {
+    fairshare.AddUsage(user, cpu_s, 0.0);
+  }
+  PendingIndex index(&priority, &fairshare, state.multifactor);
+  std::vector<PlanInput> inputs;
+  for (const IndexedJob& job : state.pending) {
+    index.Insert(job);
+    PlanInput input;
+    input.id = job.id;
+    input.nodes_needed = job.nodes_needed;
+    input.time_limit_s = job.time_limit_s;
+    input.priority =
+        state.multifactor
+            ? priority.ComputeFromFactors(
+                  std::max(0.0, state.now - job.eligible_time),
+                  job.size_factor, fairshare.Factor(job.user, state.now))
+            : 0.0;
+    input.tiebreak = job.tiebreak;
+    inputs.push_back(input);
+  }
+  NodeTimeline timeline;
+  std::vector<RunningInput> running;
+  for (const auto& job : state.running) {
+    timeline.Add(job.id, job.release, job.nodes);
+    running.push_back({job.nodes, job.release});
+  }
+  PlanPair out;
+  out.reference = PlanSchedule(state.policy, inputs, running, state.free_nodes,
+                               state.total_nodes, state.now);
+  const IndexedPlan plan =
+      PlanScheduleIndexed(state.policy, index, timeline, state.free_nodes,
+                          state.now, /*backfill_max_job_test=*/0);
+  for (const auto& start : plan.starts) out.indexed.push_back(start.id);
+  return out;
+}
+
+// Releases and time limits come from a few whole minutes, eligible times
+// and size factors from small sets, so release times, shadow boundaries and
+// priorities tie often; up to 40 running jobs puts more than 16 releases in
+// the reference planner's sort.
+PlanState RandomPlanState(Rng& rng, int trial) {
+  PlanState state;
+  state.policy =
+      trial % 2 == 0 ? SchedulerPolicy::kBackfill : SchedulerPolicy::kFifo;
+  state.multifactor = (trial / 2) % 2 == 0;
+  // Half the multifactor states saturate most age factors.
+  state.weights.max_age_seconds = (trial / 4) % 2 == 0 ? 300.0 : 86400.0;
+  int held = 0;
+  const int running = rng.UniformInt(0, 40);
+  for (int i = 0; i < running; ++i) {
+    const int nodes = rng.UniformInt(1, 3);
+    state.running.push_back({static_cast<JobId>(1000 + i),
+                             state.now + 60.0 * rng.UniformInt(1, 5), nodes});
+    held += nodes;
+  }
+  state.free_nodes = rng.UniformInt(0, 6);
+  state.total_nodes = std::max(1, held + state.free_nodes);
+  const int pending = rng.UniformInt(1, 50);
+  for (int i = 0; i < pending; ++i) {
+    IndexedJob job;
+    job.id = static_cast<JobId>(i + 1);
+    job.user = static_cast<std::uint32_t>(rng.NextBounded(5));
+    job.tiebreak = job.id;
+    job.nodes_needed = rng.UniformInt(1, std::min(8, state.total_nodes));
+    job.time_limit_s = 60.0 * rng.UniformInt(1, 8);
+    job.eligible_time = 100.0 * rng.UniformInt(0, 9);
+    job.size_factor = 0.25 * rng.UniformInt(0, 4);
+    state.pending.push_back(job);
+  }
+  for (std::uint32_t user = 0; user < 5; ++user) {
+    if (rng.Chance(0.6)) state.usage.emplace_back(user, rng.Uniform(1.0, 5e4));
+  }
+  return state;
+}
+
+TEST(PlanScheduleIndexed, MatchesReferencePlannerOnRandomStates) {
+  Rng rng(4'2017);
+  for (int trial = 0; trial < 800; ++trial) {
+    const PlanState state = RandomPlanState(rng, trial);
+    const PlanPair plans = PlanBoth(state);
+    ASSERT_EQ(plans.indexed, plans.reference)
+        << "trial " << trial << ": " << state.running.size() << " running, "
+        << state.pending.size() << " pending";
+  }
+}
+
+// Releases that tie on time count toward the blocked head in job-id order,
+// in both planners. Here job 1000's three nodes alone complete the head's
+// reservation with no spare node, so the long one-node job must not start;
+// any other order of the twenty tied releases would leave a spare node and
+// backfill it.
+TEST(PlanScheduleIndexed, TiedReleasesReserveInJobIdOrder) {
+  PlanState state;
+  state.free_nodes = 1;
+  state.running.push_back({1000, 1600.0, 3});
+  for (JobId id = 1001; id < 1020; ++id) {
+    state.running.push_back({id, 1600.0, 2});
+  }
+  state.total_nodes = 1 + 3 + 19 * 2;
+  state.multifactor = false;
+  IndexedJob head;
+  head.id = 1;
+  head.tiebreak = 1;
+  head.nodes_needed = 4;
+  head.time_limit_s = 600.0;
+  IndexedJob filler = head;
+  filler.id = 2;
+  filler.tiebreak = 2;
+  filler.nodes_needed = 1;
+  filler.time_limit_s = 3600.0;  // ends after the shadow: needs a spare node
+  state.pending = {head, filler};
+  const PlanPair plans = PlanBoth(state);
+  EXPECT_TRUE(plans.reference.empty());
+  EXPECT_TRUE(plans.indexed.empty());
 }
 
 // ------------------------------------------- EventQueue determinism contract
@@ -429,8 +576,8 @@ TEST(SubmitBatch, OneSchedulingPassAndPerSlotResults) {
   const auto results = cluster.SubmitBatch(std::move(batch));
   ASSERT_EQ(results.size(), 6u);
   EXPECT_FALSE(results[2].ok());
-  EXPECT_EQ(cluster.sched_stats().dispatch_calls, 1u);
-  EXPECT_EQ(cluster.sched_stats().submit_calls, 6u);
+  EXPECT_EQ(cluster.sched_metrics().dispatch_calls->Value(), 1u);
+  EXPECT_EQ(cluster.sched_metrics().submit_calls->Value(), 6u);
 
   cluster.RunUntilIdle();
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -438,9 +585,9 @@ TEST(SubmitBatch, OneSchedulingPassAndPerSlotResults) {
     ASSERT_TRUE(results[i].ok()) << i;
     EXPECT_EQ(cluster.GetJob(*results[i])->state, JobState::kCompleted);
   }
-  EXPECT_EQ(cluster.sched_stats().jobs_started, 5u);
-  EXPECT_GE(cluster.sched_stats().pending_peak, 5u);
-  EXPECT_GE(cluster.sched_stats().timeline_peak, 1u);
+  EXPECT_EQ(cluster.sched_metrics().jobs_started->Value(), 5u);
+  EXPECT_GE(cluster.sched_metrics().pending_peak->Value(), 5.0);
+  EXPECT_GE(cluster.sched_metrics().timeline_peak->Value(), 1.0);
 }
 
 TEST(SubmitBatch, SubmitScriptsKeepsSlotAlignmentOnParseFailure) {
@@ -460,7 +607,7 @@ TEST(SubmitBatch, SubmitScriptsKeepsSlotAlignmentOnParseFailure) {
   EXPECT_FALSE(results[1].ok());
   EXPECT_TRUE(results[2].ok());
   EXPECT_EQ(cluster.GetJob(*results[2])->request.num_tasks, 8);
-  EXPECT_EQ(cluster.sched_stats().dispatch_calls, 1u);
+  EXPECT_EQ(cluster.sched_metrics().dispatch_calls->Value(), 1u);
 }
 
 TEST(DeferDispatch, CoalescesSameTimestampPassesAndDrainsIdentically) {
@@ -489,7 +636,8 @@ TEST(DeferDispatch, CoalescesSameTimestampPassesAndDrainsIdentically) {
     EXPECT_EQ(ja->start_time, jb->start_time) << "job " << id;
     EXPECT_EQ(ja->end_time, jb->end_time) << "job " << id;
   }
-  EXPECT_LE(b.sched_stats().dispatch_calls, a.sched_stats().dispatch_calls);
+  EXPECT_LE(b.sched_metrics().dispatch_calls->Value(),
+            a.sched_metrics().dispatch_calls->Value());
 }
 
 TEST(PumpWorkload, MatchesManualSubmitLoopExactly) {

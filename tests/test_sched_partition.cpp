@@ -10,7 +10,8 @@
 //     job in a disjoint partition, and never enters its planning loop;
 //   - determinism: the schedule is bitwise identical at pool sizes 1/4/8,
 //     for both the parallel disjoint path and the serial overlap path;
-//   - legacy-vs-sharded schedule equivalence on multi-partition workloads.
+//   - multi-partition schedules pinned to golden digests frozen from the
+//     reference sort-everything engine (schedule_golden.hpp).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
+#include "schedule_golden.hpp"
 #include "slurm/cluster.hpp"
 #include "slurm/workload_gen.hpp"
 
@@ -77,18 +79,9 @@ std::vector<GeneratedJob> MultiPartitionJobs(int count, std::uint64_t seed) {
                           /*iterations_for_hpcg=*/1);
 }
 
-struct ScheduleRow {
-  JobState state = JobState::kPending;
-  SimTime start = 0.0;
-  SimTime end = 0.0;
-  std::string node;
-  int allocated = 0;
-  std::string partition;
-  bool operator==(const ScheduleRow&) const = default;
-};
-
-std::vector<ScheduleRow> RunWorkload(const ClusterConfig& config,
-                                     const std::vector<GeneratedJob>& jobs) {
+// The schedule as golden::RenderJob lines, in submission order.
+std::string RunWorkload(const ClusterConfig& config,
+                        const std::vector<GeneratedJob>& jobs) {
   ClusterSim cluster(config);
   std::vector<JobId> ids;
   for (const auto& job : jobs) {
@@ -98,28 +91,13 @@ std::vector<ScheduleRow> RunWorkload(const ClusterConfig& config,
     if (id.ok()) ids.push_back(*id);
   }
   cluster.RunUntilIdle();
-  std::vector<ScheduleRow> out;
+  std::string out;
   for (const JobId id : ids) {
     const auto job = cluster.GetJob(id);
     EXPECT_TRUE(job.has_value());
-    out.push_back({job->state, job->start_time, job->end_time, job->node,
-                   job->allocated_nodes, job->request.partition});
+    if (job.has_value()) out += golden::RenderJob(*job);
   }
   return out;
-}
-
-void ExpectSameSchedule(const std::vector<ScheduleRow>& a,
-                        const std::vector<ScheduleRow>& b,
-                        const std::string& label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].state, b[i].state) << label << " job " << i + 1;
-    EXPECT_EQ(a[i].start, b[i].start) << label << " job " << i + 1;
-    EXPECT_EQ(a[i].end, b[i].end) << label << " job " << i + 1;
-    EXPECT_EQ(a[i].node, b[i].node) << label << " job " << i + 1;
-    EXPECT_EQ(a[i].allocated, b[i].allocated) << label << " job " << i + 1;
-    EXPECT_EQ(a[i].partition, b[i].partition) << label << " job " << i + 1;
-  }
 }
 
 TEST_F(SchedPartition, NodeAssignmentTagsAndOverlapDetection) {
@@ -238,7 +216,7 @@ TEST_F(SchedPartition, HundredKBacklogDoesNotDelayDisjointPartition) {
   const auto results = cluster.SubmitBatch(std::move(backlog));
   for (const auto& result : results) ASSERT_TRUE(result.ok());
   ASSERT_EQ(cluster.FreeNodesIn("a"), 0);
-  ASSERT_GE(cluster.sched_stats("a")->pending_peak, 99'000u);
+  ASSERT_GE(cluster.sched_metrics("a")->pending_peak->Value(), 99'000.0);
 
   // A lone job in disjoint "b" starts the moment it is submitted: shard
   // b's planning pass never sees a single job of the backlog.
@@ -256,18 +234,18 @@ TEST_F(SchedPartition, HundredKBacklogDoesNotDelayDisjointPartition) {
   EXPECT_EQ(probe_job->state, JobState::kRunning);
   EXPECT_EQ(probe_job->start_time, submit_time);
 
-  // Shard isolation in the stats: b's planner examined only its own job.
-  const SchedulerStats* b_stats = cluster.sched_stats("b");
-  ASSERT_NE(b_stats, nullptr);
-  EXPECT_EQ(b_stats->jobs_started, 1u);
-  EXPECT_LE(b_stats->plan_candidates, 2u);
-  EXPECT_EQ(b_stats->pending_peak, 1u);
+  // Shard isolation in the metrics: b's planner examined only its own job.
+  const SchedMetricSet* b_metrics = cluster.sched_metrics("b");
+  ASSERT_NE(b_metrics, nullptr);
+  EXPECT_EQ(b_metrics->jobs_started->Value(), 1u);
+  EXPECT_LE(b_metrics->plan_candidates->Value(), 2u);
+  EXPECT_EQ(b_metrics->pending_peak->Value(), 1.0);
 }
 
 TEST_F(SchedPartition, DisjointParallelPlanningIsPoolSizeInvariant) {
   const auto jobs = MultiPartitionJobs(160, 20'240'817);
   const ClusterConfig base = DisjointConfig();
-  std::vector<ScheduleRow> reference;
+  std::string reference;
   for (const int threads : {1, 4, 8}) {
     ThreadPool pool(threads);
     ClusterConfig config = base;
@@ -277,15 +255,14 @@ TEST_F(SchedPartition, DisjointParallelPlanningIsPoolSizeInvariant) {
       reference = schedule;
       continue;
     }
-    ExpectSameSchedule(reference, schedule,
-                       "disjoint pool=" + std::to_string(threads));
+    EXPECT_EQ(schedule, reference) << "disjoint pool=" << threads;
   }
 }
 
 TEST_F(SchedPartition, OverlapSchedulingIsPoolSizeInvariant) {
   const auto jobs = MultiPartitionJobs(160, 77'011);
   const ClusterConfig base = OverlapConfig();
-  std::vector<ScheduleRow> reference;
+  std::string reference;
   for (const int threads : {1, 4, 8}) {
     ThreadPool pool(threads);
     ClusterConfig config = base;
@@ -295,30 +272,40 @@ TEST_F(SchedPartition, OverlapSchedulingIsPoolSizeInvariant) {
       reference = schedule;
       continue;
     }
-    ExpectSameSchedule(reference, schedule,
-                       "overlap pool=" + std::to_string(threads));
+    EXPECT_EQ(schedule, reference) << "overlap pool=" << threads;
   }
 }
 
+// Goldens frozen from the reference sort-everything engine (see
+// schedule_golden.hpp): fair share accrues per partition, and overlapping
+// partitions backfill around each other's allocations.
 TEST_F(SchedPartition, LegacyMatchesShardedOnDisjointPartitions) {
-  for (const std::uint64_t seed : {31'337ull, 90'210ull}) {
-    const auto jobs = MultiPartitionJobs(140, seed);
-    ClusterConfig sharded = DisjointConfig();
-    ClusterConfig legacy = DisjointConfig();
-    legacy.use_legacy_scheduler = true;
-    ExpectSameSchedule(RunWorkload(legacy, jobs), RunWorkload(sharded, jobs),
-                       "disjoint seed " + std::to_string(seed));
+  const std::pair<std::uint64_t, const char*> cases[] = {
+      {31'337, "12088d5ab9144b16"},
+      {90'210, "fcb159ea54310cc3"},
+  };
+  for (const auto& [seed, digest] : cases) {
+    ClusterConfig config = DisjointConfig();
+    const std::string schedule =
+        RunWorkload(config, MultiPartitionJobs(140, seed));
+    EXPECT_EQ(golden::Digest(schedule), digest)
+        << "disjoint seed " << seed << ":\n"
+        << schedule;
   }
 }
 
 TEST_F(SchedPartition, LegacyMatchesShardedOnOverlappingPartitions) {
-  for (const std::uint64_t seed : {4'242ull, 1'701ull}) {
-    const auto jobs = MultiPartitionJobs(140, seed);
-    ClusterConfig sharded = OverlapConfig();
-    ClusterConfig legacy = OverlapConfig();
-    legacy.use_legacy_scheduler = true;
-    ExpectSameSchedule(RunWorkload(legacy, jobs), RunWorkload(sharded, jobs),
-                       "overlap seed " + std::to_string(seed));
+  const std::pair<std::uint64_t, const char*> cases[] = {
+      {4'242, "ca7076fad6c048c1"},
+      {1'701, "e666e33af7fd22f9"},
+  };
+  for (const auto& [seed, digest] : cases) {
+    ClusterConfig config = OverlapConfig();
+    const std::string schedule =
+        RunWorkload(config, MultiPartitionJobs(140, seed));
+    EXPECT_EQ(golden::Digest(schedule), digest)
+        << "overlap seed " << seed << ":\n"
+        << schedule;
   }
 }
 
@@ -335,21 +322,21 @@ TEST_F(SchedPartition, PerPartitionStatsAccumulateAndReset) {
   ASSERT_TRUE(cluster.Submit(request).ok());
   cluster.RunUntilIdle();
 
-  const SchedulerStats* a = cluster.sched_stats("a");
-  const SchedulerStats* b = cluster.sched_stats("b");
+  const SchedMetricSet* a = cluster.sched_metrics("a");
+  const SchedMetricSet* b = cluster.sched_metrics("b");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->submit_calls, 1u);
-  EXPECT_EQ(b->submit_calls, 2u);
-  EXPECT_EQ(a->jobs_started, 1u);
-  EXPECT_EQ(b->jobs_started, 2u);
-  EXPECT_EQ(cluster.sched_stats().jobs_started, 3u);
-  EXPECT_EQ(cluster.sched_stats("missing"), nullptr);
+  EXPECT_EQ(a->submit_calls->Value(), 1u);
+  EXPECT_EQ(b->submit_calls->Value(), 2u);
+  EXPECT_EQ(a->jobs_started->Value(), 1u);
+  EXPECT_EQ(b->jobs_started->Value(), 2u);
+  EXPECT_EQ(cluster.sched_metrics().jobs_started->Value(), 3u);
+  EXPECT_EQ(cluster.sched_metrics("missing"), nullptr);
 
   cluster.ResetSchedStats();
-  EXPECT_EQ(cluster.sched_stats("a")->jobs_started, 0u);
-  EXPECT_EQ(cluster.sched_stats("b")->submit_calls, 0u);
-  EXPECT_EQ(cluster.sched_stats().dispatch_calls, 0u);
+  EXPECT_EQ(a->jobs_started->Value(), 0u);
+  EXPECT_EQ(b->submit_calls->Value(), 0u);
+  EXPECT_EQ(cluster.sched_metrics().dispatch_calls->Value(), 0u);
 }
 
 }  // namespace

@@ -463,6 +463,23 @@ TEST_F(Telemetry, SdiagReportsLiveRegistryMetrics) {
   EXPECT_NE(out.find("Eco plugin decision cache:"), std::string::npos);
   // The wait-seconds histogram renders for partitions that started jobs.
   EXPECT_NE(out.find("Queue wait (s):"), std::string::npos);
+  // Peaks print as integers. Every job started on submission, so the queue
+  // never held more than one; all six ran at once, three per partition.
+  EXPECT_NE(out.find("Pending queue peak:      1\n"), std::string::npos);
+  EXPECT_NE(out.find("Concurrent running peak: 6\n"), std::string::npos);
+  EXPECT_NE(out.find("    Pending peak: 1  Timeline peak: 3\n"),
+            std::string::npos);
+  // The gauges hold doubles: a peak of 10^6 must not print as 1e+06.
+  cluster.metrics().GetGauge("eco_sched_pending_peak")->SetMax(1e6);
+  cluster.metrics()
+      .GetGauge(telemetry::LabeledName("eco_sched_pending_peak", "partition",
+                                       "debug"))
+      ->SetMax(2e6);
+  const std::string peaks = slurm::Sdiag(cluster);
+  EXPECT_NE(peaks.find("Pending queue peak:      1000000\n"),
+            std::string::npos);
+  EXPECT_NE(peaks.find("    Pending peak: 2000000  Timeline peak: 3\n"),
+            std::string::npos);
 
   // The same numbers flow through the Prometheus exporter.
   const std::string prom = cluster.metrics().PrometheusText();
