@@ -3,6 +3,7 @@
 // side-by-side comparison, and rank-correlation fidelity metrics.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,18 @@ class BenchReport {
   std::string name_;
   JsonObject metrics_;
 };
+
+// Fair-share factor evaluations a scheduler drain may make (DESIGN.md
+// "Scheduler complexity"): two per examined candidate and per planning
+// pass, one per usage charge, one per distinct user. It grows with the
+// work a drain does, not with users × passes, which is what a scheduler
+// that evaluates every queued user's factor each pass would spend.
+inline std::uint64_t FairShareEvalBudget(std::uint64_t candidates,
+                                         std::uint64_t passes,
+                                         std::uint64_t charges,
+                                         std::uint64_t users) {
+  return 2 * (candidates + passes) + charges + users;
+}
 
 // The paper's measurement grid: 23 core counts × {1.5, 2.2, 2.5} GHz ×
 // HT on/off = 138 configurations (Tables 4-6).

@@ -6,7 +6,10 @@
 // empty. Durations are quantized to a minute so completions arrive in
 // waves and each wave triggers exactly one (deferred) scheduling pass. The
 // index pays for the jobs it actually starts plus a bounded backfill probe
-// (bf_max_job_test), never for the depth of the queue behind them.
+// (bf_max_job_test), never for the depth of the queue behind them. Each
+// scale drains twice: with 16 users, and with 1,000 users, where a pass
+// that evaluated every queued user's fair-share factor would cost
+// O(users).
 //
 // Checked, not just reported, at every scale (smoke included):
 //  - every submitted job must finish in state kCompleted (no timeouts, no
@@ -15,7 +18,9 @@
 //    (1 + bf_max_job_test) queue entries: one per start, plus per pass the
 //    blocked head and the bounded backfill probe. A planner that re-ranks
 //    the whole queue per pass fails it (the retired sort-everything engine
-//    examined 20,171 entries at 1,000 jobs against a bound of 5,747).
+//    examined 20,171 entries at 1,000 jobs against a bound of 5,747);
+//  - the planner computes at most bench::FairShareEvalBudget exact
+//    fair-share factors: 2 x (candidates + passes) + charges + users.
 //
 // Flags: --max-jobs N caps every scale (bench-smoke uses --max-jobs 1000),
 // --trace PATH writes a Chrome trace_event JSON of a drain (open in
@@ -55,6 +60,9 @@ constexpr int kCoresPerNode = 32;
 constexpr double kDurationQuantumS = 60.0;
 // Slurm's bf_max_job_test: bounds the backfill probe per pass.
 constexpr int kBackfillMaxJobTest = 100;
+// The many-user drain: enough users that evaluating each queued user's
+// fair-share factor every pass would dominate the pass.
+constexpr int kManyUsers = 1'000;
 // Scale the trace and time-series artifacts are capped at.
 constexpr int kArtifactScale = 100'000;
 
@@ -70,12 +78,12 @@ void Check(bool ok, const std::string& what) {
 // The drain backlog: fixed-duration fillers and wide blockers only (HPCG
 // jobs exercise the perf model, not the scheduler), durations quantized to
 // kDurationQuantumS, arrivals discarded — everything lands at t=0.
-std::vector<JobRequest> MakeBacklog(int count) {
+std::vector<JobRequest> MakeBacklog(int count, int users = 16) {
   WorkloadMix mix;
   mix.hpcg_share = 0.0;
   mix.wide_share = 0.2;
   mix.wide_nodes = 4;
-  mix.users = 16;
+  mix.users = users;
   mix.duration_quantum_s = kDurationQuantumS;
   mix.seed = 20'260'805;
   auto generated = GenerateWorkload(mix, count, kCoresPerNode, 1);
@@ -91,6 +99,7 @@ struct DrainResult {
   std::uint64_t dispatch_calls = 0;
   std::uint64_t dispatch_ns = 0;
   std::uint64_t plan_candidates = 0;
+  std::uint64_t fairshare_evals = 0;
   std::uint64_t jobs_started = 0;
   std::uint64_t pending_peak = 0;
 };
@@ -120,6 +129,7 @@ DrainResult RunDrain(const std::vector<JobRequest>& backlog,
   out.dispatch_calls = metrics.dispatch_calls->Value();
   out.dispatch_ns = metrics.dispatch_ns->Value();
   out.plan_candidates = metrics.plan_candidates->Value();
+  out.fairshare_evals = metrics.fairshare_evals->Value();
   out.jobs_started = metrics.jobs_started->Value();
   out.pending_peak = static_cast<std::uint64_t>(metrics.pending_peak->Value());
   for (const auto& result : results) {
@@ -233,15 +243,35 @@ void TsOverheadCheck(int scale) {
         "1 s time-series sampling exceeded the 2% drain-throughput bound");
 }
 
-void Report(int scale, const DrainResult& r) {
+void Report(int scale, int users, const DrainResult& r) {
   std::printf(
-      "indexed  %9d jobs  %9.3f s  %9.0f jobs/s  passes %7llu  "
-      "sched %9s  candidates %12llu  pending-peak %8llu\n",
-      scale, r.wall_s, scale / std::max(r.wall_s, 1e-9),
+      "indexed  %9d jobs  %5d users  %9.3f s  %9.0f jobs/s  passes %7llu  "
+      "sched %9s  candidates %12llu  fs-evals %10llu  pending-peak %8llu\n",
+      scale, users, r.wall_s, scale / std::max(r.wall_s, 1e-9),
       static_cast<unsigned long long>(r.dispatch_calls),
       FormatNanos(r.dispatch_ns).c_str(),
       static_cast<unsigned long long>(r.plan_candidates),
+      static_cast<unsigned long long>(r.fairshare_evals),
       static_cast<unsigned long long>(r.pending_peak));
+}
+
+// The per-scale gates on one drain.
+void CheckDrain(int scale, int users, const DrainResult& r) {
+  const std::string at =
+      "@" + std::to_string(scale) + "/" + std::to_string(users) + " users: ";
+  const std::uint64_t bound =
+      r.jobs_started + r.dispatch_calls * (1 + kBackfillMaxJobTest);
+  Check(r.plan_candidates <= bound,
+        at + "planner examined " + std::to_string(r.plan_candidates) +
+            " queue entries, above the per-start + per-pass bound " +
+            std::to_string(bound));
+  // Every started job finishes and charges its user once.
+  const std::uint64_t budget = eco::bench::FairShareEvalBudget(
+      r.plan_candidates, r.dispatch_calls, r.jobs_started,
+      static_cast<std::uint64_t>(users));
+  Check(r.fairshare_evals <= budget,
+        at + "planner computed " + std::to_string(r.fairshare_evals) +
+            " fair-share factors, above the budget " + std::to_string(budget));
 }
 
 }  // namespace
@@ -277,19 +307,18 @@ int main(int argc, char** argv) {
   // Drains at every scale up to --max-jobs; the smoke run stops at 1,000.
   for (const int scale : {1'000, 10'000, 100'000, 1'000'000}) {
     if (scale > max_jobs) break;
-    const auto result = RunDrain(MakeBacklog(scale));
-    Report(scale, result);
-    report.Set("indexed_wall_s_" + std::to_string(scale), result.wall_s);
-    report.Set("indexed_passes_" + std::to_string(scale),
-               result.dispatch_calls);
-    const std::uint64_t bound =
-        result.jobs_started +
-        result.dispatch_calls * (1 + kBackfillMaxJobTest);
-    Check(result.plan_candidates <= bound,
-          "@" + std::to_string(scale) + ": planner examined " +
-              std::to_string(result.plan_candidates) +
-              " queue entries, above the per-start + per-pass bound " +
-              std::to_string(bound));
+    for (const int users : {16, kManyUsers}) {
+      const auto result = RunDrain(MakeBacklog(scale, users));
+      Report(scale, users, result);
+      CheckDrain(scale, users, result);
+      const std::string suffix =
+          (users == kManyUsers ? "_users" + std::to_string(users) + "_"
+                               : std::string("_")) +
+          std::to_string(scale);
+      report.Set("indexed_wall_s" + suffix, result.wall_s);
+      report.Set("indexed_passes" + suffix, result.dispatch_calls);
+      report.Set("fairshare_evals" + suffix, result.fairshare_evals);
+    }
   }
 
   if (!trace_path.empty()) {

@@ -13,6 +13,8 @@
 //
 // Checked, not just reported, at every scale (smoke included):
 //  - every drain job completes, and per-partition jobs_started sums to N;
+//  - each partition's planner computes at most bench::FairShareEvalBudget
+//    exact fair-share factors: 2 x (candidates + passes) + charges + users;
 //  - every probe starts the moment it is submitted (sim time) — b always
 //    has free nodes;
 //  - b's planner examines at most 2 entries per probe: the backlog in "a"
@@ -25,6 +27,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -116,6 +120,10 @@ void RunDrain(int partitions, int count, eco::bench::BenchReport& report) {
 
   // Per-partition pass latency from the partition metrics, plus the
   // isolation bookkeeping check: shard starts must account for every job.
+  std::map<std::string, std::set<std::uint32_t>> users_in;
+  for (const JobRequest& request : backlog) {
+    users_in[request.partition].insert(request.user_id);
+  }
   std::uint64_t started = 0;
   double worst_pass_us = 0.0, sum_pass_us = 0.0;
   int timed = 0;
@@ -123,6 +131,16 @@ void RunDrain(int partitions, int count, eco::bench::BenchReport& report) {
     const SchedMetricSet* metrics = cluster.sched_metrics(partition.name);
     started += metrics->jobs_started->Value();
     const std::uint64_t passes = metrics->dispatch_calls->Value();
+    // Every started job finishes and charges its user once.
+    const std::uint64_t budget = eco::bench::FairShareEvalBudget(
+        metrics->plan_candidates->Value(), passes,
+        metrics->jobs_started->Value(), users_in[partition.name].size());
+    Check(metrics->fairshare_evals->Value() <= budget,
+          "drain P=" + std::to_string(partitions) + " " + partition.name +
+              ": planner computed " +
+              std::to_string(metrics->fairshare_evals->Value()) +
+              " fair-share factors, above the budget " +
+              std::to_string(budget));
     if (passes > 0) {
       const double pass_us =
           static_cast<double>(metrics->dispatch_ns->Value()) /

@@ -280,8 +280,10 @@ void MetricsRegistry::Reset() {
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry registry;
-  return registry;
+  // Never destroyed: statics built before it (the global ThreadPool, whose
+  // exiting workers publish queue depth) would otherwise outlive it at exit.
+  static MetricsRegistry* const registry = new MetricsRegistry();
+  return *registry;
 }
 
 }  // namespace eco::telemetry

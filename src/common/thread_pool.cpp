@@ -14,7 +14,9 @@ namespace {
 thread_local bool t_inside_worker = false;
 
 // Process-global pool telemetry (all pools publish here; handles resolved
-// once, updates are lock-free).
+// once, updates are lock-free). Trivially destructible and pointing into
+// the never-destroyed global registry, so workers of a pool destroyed at
+// exit may still publish through it.
 struct PoolMetrics {
   telemetry::Counter* parallel_calls;
   telemetry::Counter* serial_calls;

@@ -36,6 +36,8 @@ void SchedMetricSet::Bind(telemetry::MetricsRegistry& registry,
       SchedName("eco_sched_dispatch_coalesced_total", partition));
   plan_candidates = registry.GetCounter(
       SchedName("eco_sched_plan_candidates_total", partition));
+  fairshare_evals = registry.GetCounter(
+      SchedName("eco_sched_fairshare_evals_total", partition));
   jobs_started =
       registry.GetCounter(SchedName("eco_sched_jobs_started_total", partition));
   backfill_planned = registry.GetCounter(
@@ -56,6 +58,7 @@ void SchedMetricSet::Reset() const {
   dispatch_ns->Reset();
   dispatch_coalesced->Reset();
   plan_candidates->Reset();
+  fairshare_evals->Reset();
   jobs_started->Reset();
   backfill_planned->Reset();
   pending_peak->Reset();
@@ -485,7 +488,6 @@ IndexedJob ClusterSim::ToIndexedJob(const JobRecord& job) const {
   IndexedJob out;
   out.id = job.id;
   out.user = job.request.user_id;
-  out.tiebreak = job.id;
   out.nodes_needed = job.request.min_nodes;
   out.time_limit_s = job.request.time_limit_s;
   out.eligible_time = job.eligible_time;
@@ -577,12 +579,14 @@ IndexedPlan ClusterSim::PlanShard(PartitionShard& shard) {
       config_.policy, shard.pending, shard.timeline, FreeNodesInShard(shard),
       queue_.now(), config_.backfill_max_job_test);
   shard.metrics.plan_candidates->Add(plan.candidates);
+  shard.metrics.fairshare_evals->Add(plan.fairshare_evals);
   shard.metrics.backfill_planned->Add(plan.backfilled);
   return plan;
 }
 
 int ClusterSim::ExecutePlan(PartitionShard& shard, const IndexedPlan& plan) {
   metrics_set_.plan_candidates->Add(plan.candidates);
+  metrics_set_.fairshare_evals->Add(plan.fairshare_evals);
   metrics_set_.backfill_planned->Add(plan.backfilled);
   if (TraceEnabled() && (plan.candidates > 0 || !plan.starts.empty())) {
     JsonObject args;

@@ -140,6 +140,9 @@ struct SchedMetricSet {
   telemetry::Counter* dispatch_coalesced = nullptr;
   // Queue entries the planner examined (popped candidates only).
   telemetry::Counter* plan_candidates = nullptr;
+  // Exact fair-share factors the planner computed (FairShareTracker::
+  // Factor calls); the rest of the users ranked on cached bounds.
+  telemetry::Counter* fairshare_evals = nullptr;
   telemetry::Counter* jobs_started = nullptr;
   // Starts planned past a blocked head.
   telemetry::Counter* backfill_planned = nullptr;

@@ -26,33 +26,62 @@ double PendingIndex::SaturatedRank(const IndexedJob& job) const {
   return priority_->weights().size * job.size_factor;
 }
 
+void PendingIndex::RefreshHeads(const Bucket& bucket) {
+  ActiveUser& slot = active_[bucket.active_slot];
+  const auto copy = [](const BucketMap& map, Head& head) {
+    head.present = !map.empty();
+    if (!head.present) return;
+    const IndexedJob& job = map.begin()->second;
+    head.id = job.id;
+    head.eligible_time = job.eligible_time;
+    head.size_factor = job.size_factor;
+  };
+  copy(bucket.growing, slot.growing);
+  copy(bucket.saturated, slot.saturated);
+}
+
 void PendingIndex::Insert(const IndexedJob& job) {
   Bucket& bucket = buckets_[job.user];
+  if (bucket.active_slot == kInactive) {
+    bucket.user = job.user;
+    bucket.active_slot = active_.size();
+    ActiveUser& slot = active_.emplace_back();
+    slot.bucket = &bucket;
+    slot.fs = bucket.fs;
+  }
   const MultifactorWeights& w = priority_->weights();
   const bool starts_saturated = !multifactor_ || w.max_age_seconds <= 0.0;
   Location loc;
   loc.user = job.user;
   loc.saturated = starts_saturated;
   if (starts_saturated) {
-    loc.key = Key{SaturatedRank(job), job.tiebreak};
+    loc.key = Key{SaturatedRank(job), job.id};
     bucket.saturated.emplace(loc.key, job);
   } else {
-    loc.key = Key{GrowingRank(job), job.tiebreak};
+    loc.key = Key{GrowingRank(job), job.id};
     bucket.growing.emplace(loc.key, job);
     saturation_queue_.push({job.eligible_time + w.max_age_seconds, job.id});
   }
   locations_[job.id] = loc;
+  RefreshHeads(bucket);
 }
 
 bool PendingIndex::Erase(JobId id) {
   const auto it = locations_.find(id);
   if (it == locations_.end()) return false;
   const Location& loc = it->second;
-  const auto bucket_it = buckets_.find(loc.user);
-  Bucket& bucket = bucket_it->second;
+  Bucket& bucket = buckets_.find(loc.user)->second;
   (loc.saturated ? bucket.saturated : bucket.growing).erase(loc.key);
   if (bucket.growing.empty() && bucket.saturated.empty()) {
-    buckets_.erase(bucket_it);  // keep Scan() proportional to active users
+    // Keep Scan() proportional to active users; the cache stays with the
+    // bucket.
+    bucket.fs = active_[bucket.active_slot].fs;
+    active_[bucket.active_slot] = active_.back();
+    active_[bucket.active_slot].bucket->active_slot = bucket.active_slot;
+    active_.pop_back();
+    bucket.active_slot = kInactive;
+  } else {
+    RefreshHeads(bucket);
   }
   locations_.erase(it);
   return true;
@@ -67,99 +96,208 @@ void PendingIndex::MigrateSaturated(SimTime now) {
     Location& loc = it->second;
     Bucket& bucket = buckets_.at(loc.user);
     auto node = bucket.growing.extract(loc.key);
-    loc.key = Key{SaturatedRank(node.mapped()), node.mapped().tiebreak};
+    loc.key = Key{SaturatedRank(node.mapped()), id};
     loc.saturated = true;
     node.key() = loc.key;
     bucket.saturated.insert(std::move(node));
+    RefreshHeads(bucket);
   }
+}
+
+void PendingIndex::ForgetChargedUsers() {
+  const std::uint64_t charges = fairshare_->charge_seq();
+  if (charges - charges_seen_ > FairShareTracker::kChargeRing) {
+    for (auto& [user, bucket] : buckets_) CacheOf(bucket).epoch = 0;
+  } else {
+    for (std::uint64_t seq = charges_seen_ + 1; seq <= charges; ++seq) {
+      const auto it = buckets_.find(fairshare_->ChargedUser(seq));
+      if (it != buckets_.end()) CacheOf(it->second).epoch = 0;
+    }
+  }
+  charges_seen_ = charges;
 }
 
 PendingIndex::Cursor PendingIndex::Scan(SimTime now) {
   MigrateSaturated(now);
+  ForgetChargedUsers();
   return Cursor(this, now);
+}
+
+double PendingIndex::CachedBound(const FactorCache& cache,
+                                 bool bounds_hold) const {
+  return bounds_hold ? fairshare_->FactorBound(cache) : 1.0;
+}
+
+double PendingIndex::FactorBound(std::uint32_t user, SimTime now) const {
+  const auto it = buckets_.find(user);
+  if (it == buckets_.end()) return 1.0;
+  // Charges the next Scan will apply: a charged user has no bound.
+  const std::uint64_t charges = fairshare_->charge_seq();
+  if (charges - charges_seen_ > FairShareTracker::kChargeRing) return 1.0;
+  for (std::uint64_t seq = charges_seen_ + 1; seq <= charges; ++seq) {
+    if (fairshare_->ChargedUser(seq) == user) return 1.0;
+  }
+  return CachedBound(CacheOf(it->second), fairshare_->BoundsHold(now));
 }
 
 // ---------------------------------------------------------------------------
 // PendingIndex::Cursor — k-way merge over user bucket heads
 // ---------------------------------------------------------------------------
 
-double PendingIndex::Cursor::PriorityOf(const IndexedJob& job,
+double PendingIndex::Cursor::PriorityOf(SimTime eligible_time,
+                                        double size_factor,
                                         double fs_factor) const {
   if (!index_->multifactor_) return 0.0;
   // Same expression, same operand order, same cached-factor inputs as the
   // MultifactorPriority::Compute — bitwise identical results.
   return index_->priority_->ComputeFromFactors(
-      std::max(0.0, now_ - job.eligible_time), job.size_factor, fs_factor);
-}
-
-PendingIndex::Cursor::Cursor(const PendingIndex* index, SimTime now)
-    : index_(index), now_(now) {
-  users_.reserve(index_->buckets_.size());
-  heap_.reserve(index_->buckets_.size());
-  for (const auto& [user, bucket] : index_->buckets_) {
-    UserState state;
-    state.bucket = &bucket;
-    state.growing = bucket.growing.begin();
-    state.saturated = bucket.saturated.begin();
-    // One fair-share evaluation per user per pass; Compute() evaluates it
-    // per job, but Factor() is pure in (user, now, tracker state) so the
-    // cached value is bitwise the same.
-    state.fs_factor = index_->multifactor_
-                          ? index_->fairshare_->Factor(user, now)
-                          : 1.0;
-    users_.push_back(state);
-    PushUserHead(users_.size() - 1);
-  }
+      std::max(0.0, now_ - eligible_time), size_factor, fs_factor);
 }
 
 namespace {
-// Max-heap on (priority, then earlier submission): `a` sorts below `b` when
-// it has lower priority, or equal priority and a later tiebreak.
+// Max-heap on (priority, bound before exact, lower id): `a` sorts below `b`
+// when it has lower priority, or equal priority and is exact while `b` is a
+// bound, or the same kind and a higher id. Because a bound wins the tie, an
+// exact entry on top has a strictly higher priority than every bound below
+// it, hence than every job those bounds stand for.
 struct HeadLess {
   template <typename Entry>
   bool operator()(const Entry& a, const Entry& b) const {
     if (a.priority != b.priority) return a.priority < b.priority;
-    return a.tiebreak > b.tiebreak;
+    if (a.exact != b.exact) return a.exact;
+    return a.id > b.id;
   }
 };
 }  // namespace
 
-void PendingIndex::Cursor::PushUserHead(std::size_t slot) {
-  UserState& user = users_[slot];
-  const bool has_growing = user.growing != user.bucket->growing.end();
-  const bool has_saturated = user.saturated != user.bucket->saturated.end();
-  if (!has_growing && !has_saturated) return;
-
-  HeapEntry entry;
-  entry.user_slot = slot;
-  if (has_growing && has_saturated) {
-    const double pg = PriorityOf(user.growing->second, user.fs_factor);
-    const double ps = PriorityOf(user.saturated->second, user.fs_factor);
-    const bool pick_saturated =
-        ps > pg || (ps == pg && user.saturated->second.tiebreak <
-                                    user.growing->second.tiebreak);
-    entry.from_saturated = pick_saturated;
-    entry.priority = pick_saturated ? ps : pg;
-    entry.tiebreak = (pick_saturated ? user.saturated : user.growing)
-                         ->second.tiebreak;
-  } else {
-    entry.from_saturated = has_saturated;
-    const auto& it = has_saturated ? user.saturated : user.growing;
-    entry.priority = PriorityOf(it->second, user.fs_factor);
-    entry.tiebreak = it->second.tiebreak;
+PendingIndex::Cursor::Cursor(PendingIndex* index, SimTime now)
+    : index_(index), now_(now), scan_(++index->scans_) {
+  const FairShareTracker& fairshare = *index_->fairshare_;
+  // Bounds rank users only where priority rises with the factor.
+  const bool lazy =
+      index_->multifactor_ && index_->priority_->weights().fairshare > 0.0;
+  const bool bounds_hold = lazy && fairshare.BoundsHold(now);
+  std::vector<ActiveUser>& active = index_->active_;
+  heap_.reserve(active.size());
+  for (std::uint32_t slot = 0; slot < active.size(); ++slot) {
+    ActiveUser& user = active[slot];
+    if (!lazy) {
+      // Without multifactor every priority is 0. With a fair-share weight
+      // <= 0 a bound on the factor bounds nothing: evaluate it.
+      double fs_factor = 1.0;
+      if (index_->multifactor_) {
+        fs_factor = fairshare.Factor(user.bucket->user, now);
+        ++fairshare_evals_;
+      }
+      Position(user, fs_factor);
+      heap_.push_back(FirstEntry(slot, fs_factor, /*exact=*/true));
+    } else if (user.fs.epoch == FairShareTracker::kPinnedEpoch) {
+      heap_.push_back(FirstEntry(slot, user.fs.factor, /*exact=*/true));
+    } else {
+      heap_.push_back(FirstEntry(
+          slot, index_->CachedBound(user.fs, bounds_hold), /*exact=*/false));
+    }
   }
+  std::make_heap(heap_.begin(), heap_.end(), HeadLess{});
+}
+
+void PendingIndex::Cursor::Position(ActiveUser& user, double fs_factor) {
+  user.scan = scan_;
+  user.fs_factor = fs_factor;
+  user.growing_at = user.bucket->growing.begin();
+  user.saturated_at = user.bucket->saturated.begin();
+}
+
+PendingIndex::Cursor::HeapEntry PendingIndex::Cursor::FirstEntry(
+    std::uint32_t slot, double fs_factor, bool exact) const {
+  // HeadOf's choice, made on the copies. For a bound entry this is the
+  // largest priority any job of the user has at a factor up to the bound.
+  const ActiveUser& user = index_->active_[slot];
+  HeapEntry entry{0.0, 0, slot, exact, false};
+  if (user.growing.present) {
+    entry.priority = PriorityOf(user.growing.eligible_time,
+                                user.growing.size_factor, fs_factor);
+    entry.id = user.growing.id;
+  }
+  if (user.saturated.present) {
+    const double ps = PriorityOf(user.saturated.eligible_time,
+                                 user.saturated.size_factor, fs_factor);
+    if (!user.growing.present || ps > entry.priority ||
+        (ps == entry.priority && user.saturated.id < entry.id)) {
+      entry.priority = ps;
+      entry.id = user.saturated.id;
+      entry.from_saturated = true;
+    }
+  }
+  return entry;
+}
+
+bool PendingIndex::Cursor::HeadOf(std::uint32_t slot, HeapEntry* entry) const {
+  const ActiveUser& user = index_->active_[slot];
+  const bool has_growing = user.growing_at != user.bucket->growing.end();
+  const bool has_saturated =
+      user.saturated_at != user.bucket->saturated.end();
+  if (!has_growing && !has_saturated) return false;
+
+  const auto priority = [&](const IndexedJob& job) {
+    return PriorityOf(job.eligible_time, job.size_factor, user.fs_factor);
+  };
+  entry->user_slot = slot;
+  entry->exact = true;
+  if (has_growing && has_saturated) {
+    const double pg = priority(user.growing_at->second);
+    const double ps = priority(user.saturated_at->second);
+    const bool pick_saturated =
+        ps > pg ||
+        (ps == pg && user.saturated_at->first.id < user.growing_at->first.id);
+    entry->from_saturated = pick_saturated;
+    entry->priority = pick_saturated ? ps : pg;
+    entry->id =
+        (pick_saturated ? user.saturated_at : user.growing_at)->first.id;
+  } else {
+    entry->from_saturated = has_saturated;
+    const auto& it = has_saturated ? user.saturated_at : user.growing_at;
+    entry->priority = priority(it->second);
+    entry->id = it->first.id;
+  }
+  return true;
+}
+
+void PendingIndex::Cursor::PushUserHead(std::uint32_t slot) {
+  HeapEntry entry;
+  if (!HeadOf(slot, &entry)) return;
   heap_.push_back(entry);
   std::push_heap(heap_.begin(), heap_.end(), HeadLess{});
 }
 
+void PendingIndex::Cursor::Refine(std::uint32_t slot) {
+  ActiveUser& user = index_->active_[slot];
+  user.fs = index_->fairshare_->Stamp(user.bucket->user, now_);
+  ++fairshare_evals_;
+  Position(user, user.fs.factor);
+}
+
 std::optional<PendingIndex::Candidate> PendingIndex::Cursor::Next() {
+  // A bound on top is refined in place: its exact priority is no higher, so
+  // the entry only sinks, and the loop ends with an exact head on top that
+  // outranks every bound left below it.
+  while (!heap_.empty() && !heap_.front().exact) {
+    const std::uint32_t slot = heap_.front().user_slot;
+    Refine(slot);
+    std::pop_heap(heap_.begin(), heap_.end(), HeadLess{});
+    HeadOf(slot, &heap_.back());
+    std::push_heap(heap_.begin(), heap_.end(), HeadLess{});
+  }
   if (heap_.empty()) return std::nullopt;
   std::pop_heap(heap_.begin(), heap_.end(), HeadLess{});
   const HeapEntry top = heap_.back();
   heap_.pop_back();
 
-  UserState& user = users_[top.user_slot];
-  auto& it = top.from_saturated ? user.saturated : user.growing;
+  ActiveUser& user = index_->active_[top.user_slot];
+  // An exact entry of a user not yet positioned is a pinned user's first
+  // entry: its factor is exactly 1.
+  if (!Positioned(user)) Position(user, user.fs.factor);
+  auto& it = top.from_saturated ? user.saturated_at : user.growing_at;
   Candidate out{&it->second, top.priority};
   ++it;
   PushUserHead(top.user_slot);
@@ -204,13 +342,11 @@ NodeTimeline::Shadow NodeTimeline::ComputeShadow(int free_now, int needed,
 // Indexed EASY planner
 // ---------------------------------------------------------------------------
 
-IndexedPlan PlanScheduleIndexed(SchedulerPolicy policy, PendingIndex& pending,
-                                const NodeTimeline& timeline, int free_nodes,
-                                SimTime now, int backfill_max_job_test) {
-  IndexedPlan plan;
-  if (pending.empty()) return plan;
+namespace {
 
-  auto cursor = pending.Scan(now);
+void PlanWithCursor(SchedulerPolicy policy, PendingIndex::Cursor& cursor,
+                    const NodeTimeline& timeline, int free_nodes, SimTime now,
+                    int backfill_max_job_test, IndexedPlan& plan) {
   auto candidate = cursor.Next();
 
   // Start in priority order while jobs fit.
@@ -220,23 +356,23 @@ IndexedPlan PlanScheduleIndexed(SchedulerPolicy policy, PendingIndex& pending,
     free_nodes -= candidate->job->nodes_needed;
     candidate = cursor.Next();
   }
-  if (!candidate || policy == SchedulerPolicy::kFifo) return plan;
+  if (!candidate || policy == SchedulerPolicy::kFifo) return;
 
   // EASY backfill: reserve the shadow for the blocked head, then admit
   // lower-priority jobs that finish before it or fit beside it.
   ++plan.candidates;
   const int head_nodes = candidate->job->nodes_needed;
   const auto shadow = timeline.ComputeShadow(free_nodes, head_nodes, now);
-  if (!shadow.reserved) return plan;
+  if (!shadow.reserved) return;
 
   int spare = shadow.spare_nodes;
+  // Stop before asking the cursor for a job that cannot be used: Next()
+  // may have to refine fair-share bounds to produce it.
+  const auto limit = static_cast<std::uint64_t>(backfill_max_job_test);
   std::uint64_t tested = 0;
-  while ((candidate = cursor.Next())) {
-    if (free_nodes <= 0) break;  // nothing further can fit
-    if (backfill_max_job_test > 0 &&
-        ++tested > static_cast<std::uint64_t>(backfill_max_job_test)) {
-      break;
-    }
+  while (free_nodes > 0 && (limit == 0 || tested < limit) &&
+         (candidate = cursor.Next())) {
+    ++tested;
     ++plan.candidates;
     const IndexedJob& job = *candidate->job;
     if (job.nodes_needed > free_nodes) continue;
@@ -252,6 +388,19 @@ IndexedPlan PlanScheduleIndexed(SchedulerPolicy policy, PendingIndex& pending,
       }
     }
   }
+}
+
+}  // namespace
+
+IndexedPlan PlanScheduleIndexed(SchedulerPolicy policy, PendingIndex& pending,
+                                const NodeTimeline& timeline, int free_nodes,
+                                SimTime now, int backfill_max_job_test) {
+  IndexedPlan plan;
+  if (pending.empty()) return plan;
+  auto cursor = pending.Scan(now);
+  PlanWithCursor(policy, cursor, timeline, free_nodes, now,
+                 backfill_max_job_test, plan);
+  plan.fairshare_evals = cursor.fairshare_evals();
   return plan;
 }
 

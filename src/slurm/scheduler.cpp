@@ -37,6 +37,7 @@ std::size_t FairShareTracker::BucketOf(std::uint32_t user) const {
 void FairShareTracker::AddUsage(std::uint32_t user, double cpu_seconds,
                                 SimTime now) {
   auto [it, inserted] = buckets_[BucketOf(user)].usage.try_emplace(user);
+  const std::size_t users_before = user_count_;
   if (inserted) ++user_count_;
   Usage& u = it->second;
   const double age = std::max(0.0, now - u.as_of);
@@ -46,9 +47,75 @@ void FairShareTracker::AddUsage(std::uint32_t user, double cpu_seconds,
   // to `now` and adding the fresh usage keeps it equal (up to rounding) to
   // Σ_u DecayedUsage(u, now).
   const double total_age = std::max(0.0, now - total_.as_of);
-  total_.amount = total_.amount * std::pow(0.5, total_age / half_life_) +
-                  cpu_seconds;
+  const double total_before =
+      total_.amount * std::pow(0.5, total_age / half_life_);
+  total_.amount = total_before + cpu_seconds;
   total_.as_of = now;
+  NoteCharge(user, users_before, total_before, total_age);
+}
+
+namespace {
+// Below this decayed total a Factor() evaluation may involve subnormal
+// operands, whose rounding no fixed margin covers. Far above 2^-1022, so
+// a user's decayed usage that is subnormal moves e = n·mine/total by a
+// negligible absolute amount.
+constexpr double kMinBoundTotal = 0x1p-900;
+// The product restarts before it could underflow.
+constexpr double kMinShareProduct = 0x1p-500;
+// Rounding budget of the product; kBoundMargin covers it plus the O(1e-12)
+// error of Factor() at both ends.
+constexpr double kMaxShareDrift = 0x1p-34;
+constexpr double kUnitRoundoff = 0x1p-53;
+}  // namespace
+
+void FairShareTracker::NoteCharge(std::uint32_t user,
+                                  std::size_t users_before,
+                                  double total_before, double total_age) {
+  charge_ring_[++charge_seq_ % kChargeRing] = user;
+  const bool degenerate = users_before == 0 ||
+                          !(total_before >= kMinBoundTotal) ||
+                          !(total_.amount > 0.0);
+  if (!degenerate) {
+    share_product_ *= (static_cast<double>(user_count_) /
+                       static_cast<double>(users_before)) *
+                      (total_before / total_.amount);
+    // Relative error of this k: the decay pow's argument carries 2u·x
+    // absolute error (x = total_age in half-lives), which ln 2 turns into
+    // relative error, plus a few roundings for the divisions and products.
+    share_drift_ += (8.0 + 2.0 * total_age / half_life_) * kUnitRoundoff;
+  }
+  if (degenerate || share_drift_ > kMaxShareDrift ||
+      share_product_ < kMinShareProduct) {
+    ++bound_epoch_;
+    share_product_ = 1.0;
+    share_drift_ = 0.0;
+  }
+}
+
+FairShareTracker::FactorStamp FairShareTracker::Stamp(std::uint32_t user,
+                                                      SimTime now) const {
+  const double mine = DecayedUsage(user, now);
+  FactorStamp stamp;
+  if (mine == 0.0) {
+    // Factor() is 1 (2^-0, or no usage on record at all), and a usage of
+    // zero stays zero as it decays.
+    stamp.epoch = kPinnedEpoch;
+    return stamp;
+  }
+  const double total = DecayedTotal(now);
+  stamp.factor = FactorOf(mine, total);
+  stamp.neg_log = -std::log(stamp.factor);
+  stamp.product = share_product_;
+  stamp.epoch = Holds(total, now) ? bound_epoch_ : 0;
+  return stamp;
+}
+
+bool FairShareTracker::BoundsHold(SimTime now) const {
+  return user_count_ > 0 && Holds(DecayedTotal(now), now);
+}
+
+bool FairShareTracker::Holds(double total, SimTime now) const {
+  return now >= total_.as_of && total >= kMinBoundTotal;
 }
 
 double FairShareTracker::DecayedUsage(std::uint32_t user, SimTime now) const {
@@ -59,14 +126,19 @@ double FairShareTracker::DecayedUsage(std::uint32_t user, SimTime now) const {
   return it->second.amount * std::pow(0.5, age / half_life_);
 }
 
+double FairShareTracker::DecayedTotal(SimTime now) const {
+  const double total_age = std::max(0.0, now - total_.as_of);
+  return total_.amount * std::pow(0.5, total_age / half_life_);
+}
+
 double FairShareTracker::Factor(std::uint32_t user, SimTime now) const {
   if (user_count_ == 0) return 1.0;
-  const double total_age = std::max(0.0, now - total_.as_of);
-  const double total =
-      total_.amount * std::pow(0.5, total_age / half_life_);
+  return FactorOf(DecayedUsage(user, now), DecayedTotal(now));
+}
+
+double FairShareTracker::FactorOf(double mine, double total) const {
   if (total <= 0.0) return 1.0;
   const double average = total / static_cast<double>(user_count_);
-  const double mine = DecayedUsage(user, now);
   if (average <= 0.0) return 1.0;
   // Slurm's classic fair-share curve: 2^(-usage/share).
   return std::pow(2.0, -mine / average);
@@ -77,15 +149,6 @@ double MultifactorPriority::SizeFactor(int num_tasks, int min_nodes) const {
              ? std::min(1.0, static_cast<double>(num_tasks * min_nodes) /
                                  cluster_cores_)
              : 0.0;
-}
-
-double MultifactorPriority::ComputeFromFactors(double wait_seconds,
-                                               double size_factor,
-                                               double fs_factor) const {
-  const double age_factor =
-      std::min(1.0, wait_seconds / weights_.max_age_seconds);
-  return weights_.age * age_factor + weights_.size * size_factor +
-         weights_.fairshare * fs_factor + weights_.qos;
 }
 
 double MultifactorPriority::Compute(const JobRecord& job, SimTime now,

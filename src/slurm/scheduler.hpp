@@ -7,6 +7,8 @@
 // without a simulation.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -38,6 +40,20 @@ namespace eco::slurm {
 // cluster-wide (amount, as_of) pair — splitting it per bucket would reorder
 // the floating-point sums and move the golden schedule digests the
 // scheduler suites pin down.
+//
+// Factor() still costs three std::pow and a map lookup, so a scheduling
+// pass avoids calling it for every user with pending work. The tracker
+// publishes what a caller needs to bound a factor it evaluated earlier
+// (PendingIndex's cursor, DESIGN.md "Scheduler complexity"): Factor is
+// 2^-e with e = n·mine/total. Between two charges e is time-invariant,
+// because mine and total decay at the same rate, and a charge multiplies
+// every *other* user's e by one common k = (n'/n)·T_pre/T_post.
+// share_product() is the running product of those k within bound_epoch();
+// the epoch restarts (invalidating every bound) on the first charge, when
+// the decayed total is too small for its rounding to be bounded, and
+// before the product's accumulated rounding reaches kBoundMargin. Charged
+// users are reported through a fixed ring (charge_seq / ChargedUser), so the
+// tracker keeps no per-reader state and no log that grows.
 class FairShareTracker {
  public:
   // Slurm's PriorityDecayHalfLife default. ClusterConfig::
@@ -57,6 +73,59 @@ class FairShareTracker {
   [[nodiscard]] double half_life_seconds() const { return half_life_; }
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
 
+  // --- Bounds on earlier factors ---
+  // Absolute slack FactorBound adds: covers the rounding of Factor() at both
+  // ends (~1e-12) and the k product's (held below kBoundMargin / 2 by epoch
+  // resets, and amplified at most 1.5× by the factor / (1 − d) form).
+  static constexpr double kBoundMargin = 0x1p-33;
+  // Charges remembered by ChargedUser(); a reader further behind must treat
+  // every user as charged.
+  static constexpr std::size_t kChargeRing = 1024;
+
+  // Stamp epoch of a user with no decayed usage: its factor is exactly 1
+  // at any later time until it is charged.
+  static constexpr std::uint64_t kPinnedEpoch = ~std::uint64_t{0};
+  // An exact Factor() with what bounding it later takes.
+  struct FactorStamp {
+    double factor = 1.0;
+    double neg_log = 0.0;     // −ln factor
+    double product = 1.0;     // share_product() when taken
+    std::uint64_t epoch = 0;  // bound_epoch() when taken; 0 = not a seed
+  };
+  // Factor(user, now), stamped. Only a stamp taken where BoundsHold(now),
+  // or of a user with no usage (kPinnedEpoch), can seed a bound.
+  [[nodiscard]] FactorStamp Stamp(std::uint32_t user, SimTime now) const;
+  // True when a factor evaluated at `now` may seed a bound, and a bound may
+  // be applied at `now`: there are users, `now` does not precede the last
+  // charge, and the decayed total is far from the subnormal range.
+  [[nodiscard]] bool BoundsHold(SimTime now) const;
+  // Upper bound on Factor(user, t) for any t with BoundsHold(t), given a
+  // stamp of `user` taken before, provided `user` was not charged since;
+  // 1 (no factor exceeds it) when the epoch has moved on.
+  // With K = share_product() / stamp.product the factor is now factor^K:
+  // ≤ factor when K ≥ 1. When K < 1 it is below the tangent at 1,
+  // 1 − K(1 − factor), and, with d = (1 − K)·neg_log, equal to
+  // factor·e^d ≤ factor / (1 − d); the second is far tighter while K is
+  // near 1 and is used up to d = 1/2.
+  [[nodiscard]] double FactorBound(const FactorStamp& stamp) const {
+    if (stamp.epoch == kPinnedEpoch) return stamp.factor;
+    if (stamp.epoch != bound_epoch_) return 1.0;
+    const double k = share_product_ / stamp.product;
+    double bound = stamp.factor;
+    if (k < 1.0) {
+      bound = 1.0 - k * (1.0 - stamp.factor);
+      const double d = (1.0 - k) * stamp.neg_log;
+      if (d <= 0.5) bound = std::min(bound, stamp.factor / (1.0 - d));
+    }
+    return std::min(1.0, bound + kBoundMargin);
+  }
+  // Number of AddUsage calls so far; charge s (1-based) went to
+  // ChargedUser(s) while s > charge_seq() − kChargeRing.
+  [[nodiscard]] std::uint64_t charge_seq() const { return charge_seq_; }
+  [[nodiscard]] std::uint32_t ChargedUser(std::uint64_t seq) const {
+    return charge_ring_[seq % kChargeRing];
+  }
+
  private:
   struct Usage {
     double amount = 0.0;
@@ -67,13 +136,30 @@ class FairShareTracker {
   };
 
   [[nodiscard]] double DecayedUsage(std::uint32_t user, SimTime now) const;
+  // Σ_u DecayedUsage(u, now).
+  [[nodiscard]] double DecayedTotal(SimTime now) const;
+  // Factor() of a user with decayed usage `mine`, given the decayed total
+  // at the same instant and at least one user on record.
+  [[nodiscard]] double FactorOf(double mine, double total) const;
+  // BoundsHold(now) for a tracker with users, given DecayedTotal(now).
+  [[nodiscard]] bool Holds(double total, SimTime now) const;
   [[nodiscard]] std::size_t BucketOf(std::uint32_t user) const;
+  // Folds one charge's k into the product, or restarts the epoch.
+  void NoteCharge(std::uint32_t user, std::size_t users_before,
+                  double total_before, double total_age);
 
   double half_life_;
   std::vector<Bucket> buckets_;  // size is a power of two
   std::size_t user_count_ = 0;
   // Incrementally maintained Σ_u DecayedUsage(u): decayed to `total_.as_of`.
   Usage total_{};
+  // Bound bookkeeping: epoch 0 is never current, so readers may use it to
+  // mark a bound invalid.
+  std::uint64_t bound_epoch_ = 1;
+  double share_product_ = 1.0;
+  double share_drift_ = 0.0;  // bound on the product's relative rounding
+  std::uint64_t charge_seq_ = 0;
+  std::array<std::uint32_t, kChargeRing> charge_ring_{};
 };
 
 struct MultifactorWeights {
@@ -99,7 +185,12 @@ class MultifactorPriority {
   // paths produce bitwise-identical priorities.
   [[nodiscard]] double ComputeFromFactors(double wait_seconds,
                                           double size_factor,
-                                          double fs_factor) const;
+                                          double fs_factor) const {
+    const double age_factor =
+        std::min(1.0, wait_seconds / weights_.max_age_seconds);
+    return weights_.age * age_factor + weights_.size * size_factor +
+           weights_.fairshare * fs_factor + weights_.qos;
+  }
   [[nodiscard]] double SizeFactor(int num_tasks, int min_nodes) const;
 
   [[nodiscard]] const MultifactorWeights& weights() const { return weights_; }

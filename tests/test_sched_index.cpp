@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "common/perf.hpp"
@@ -35,11 +36,11 @@ struct RefJob {
 std::vector<JobId> BruteForceOrder(const std::vector<RefJob>& jobs,
                                    const MultifactorPriority& priority,
                                    const FairShareTracker& fairshare,
-                                   SimTime now, bool multifactor) {
+                                   SimTime now, bool multifactor,
+                                   std::vector<double>* priorities = nullptr) {
   struct Entry {
     JobId id;
     double p;
-    std::uint64_t tiebreak;
   };
   std::vector<Entry> entries;
   for (const RefJob& ref : jobs) {
@@ -50,14 +51,17 @@ std::vector<JobId> BruteForceOrder(const std::vector<RefJob>& jobs,
                   std::max(0.0, now - ref.job.eligible_time),
                   ref.job.size_factor, fairshare.Factor(ref.job.user, now))
             : 0.0;
-    entries.push_back({ref.job.id, p, ref.job.tiebreak});
+    entries.push_back({ref.job.id, p});
   }
   std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
     if (a.p != b.p) return a.p > b.p;
-    return a.tiebreak < b.tiebreak;
+    return a.id < b.id;
   });
   std::vector<JobId> out;
-  for (const Entry& e : entries) out.push_back(e.id);
+  for (const Entry& e : entries) {
+    out.push_back(e.id);
+    if (priorities != nullptr) priorities->push_back(e.p);
+  }
   return out;
 }
 
@@ -82,12 +86,10 @@ TEST(PendingIndex, MatchesBruteForceOrderAcrossInsertEraseAndSaturation) {
   Rng rng(7);
   std::vector<RefJob> jobs;
   JobId next_id = 1;
-  std::uint64_t tiebreak = 0;
   const auto insert_random = [&](SimTime eligible) {
     IndexedJob job;
     job.id = next_id++;
     job.user = static_cast<std::uint32_t>(rng.NextBounded(6));
-    job.tiebreak = tiebreak++;
     job.nodes_needed = rng.UniformInt(1, 4);
     job.time_limit_s = rng.Uniform(60.0, 600.0);
     job.eligible_time = eligible;
@@ -119,6 +121,125 @@ TEST(PendingIndex, MatchesBruteForceOrderAcrossInsertEraseAndSaturation) {
   }
 }
 
+// One index and one tracker live across thousands of passes, so each
+// pass ranks most users by factor bounds cached in earlier passes. Between
+// passes jobs come and go, users are charged (the first charge only after
+// 40 passes, zero-usage charges, brand-new users that raise the user count
+// so the other users' exponents grow, one burst that overruns the tracker's
+// charge ring), and time jumps, sometimes by dozens of half-lives and
+// sometimes far enough for the decayed total to underflow. Every pass must
+// match the full sort bitwise, and no bound may fall below the true factor.
+TEST(PendingIndex, FactorCacheAcrossPassesMatchesBruteForce) {
+  MultifactorWeights weights;
+  weights.max_age_seconds = 4000.0;
+  MultifactorPriority priority(weights, 256);
+  const double half_life = 3600.0;
+  FairShareTracker fairshare(half_life);
+  PendingIndex index(&priority, &fairshare, /*multifactor=*/true);
+
+  constexpr std::uint32_t kUsers = 240;
+  constexpr int kPasses = 2400;
+  Rng rng(31337);
+  std::vector<RefJob> live;
+  JobId next_id = 1;
+  std::uint32_t fresh_user = 10'000;  // never queues a job
+  SimTime now = 0.0;
+  std::uint64_t evals = 0, ranked_users = 0;
+  const auto insert = [&] {
+    IndexedJob job;
+    job.id = next_id++;
+    job.user = static_cast<std::uint32_t>(rng.NextBounded(kUsers));
+    job.nodes_needed = rng.UniformInt(1, 4);
+    job.time_limit_s = 600.0;
+    job.eligible_time = now - 60.0 * rng.UniformInt(0, 100);
+    job.size_factor = priority.SizeFactor(rng.UniformInt(1, 64), 1);
+    index.Insert(job);
+    live.push_back({job, true});
+  };
+  for (int i = 0; i < 400; ++i) insert();
+
+  for (int pass = 0; pass < kPasses; ++pass) {
+    // Time: mostly seconds to minutes, sometimes many half-lives, twice far
+    // enough for every decayed usage to underflow.
+    const double jump = rng.NextDouble();
+    if (pass == 900 || pass == 1900) {
+      now += 1200.0 * half_life;
+    } else if (jump < 0.02) {
+      now += rng.Uniform(10.0, 60.0) * half_life;
+    } else {
+      now += rng.Uniform(0.0, 300.0);
+    }
+    // Jobs: erase a few, insert a few (the backlog hovers around 400).
+    const int erase = rng.UniformInt(0, 4);
+    for (int i = 0; i < erase && !live.empty(); ++i) {
+      const std::size_t victim = rng.NextBounded(live.size());
+      ASSERT_TRUE(index.Erase(live[victim].job.id));
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    const int arrivals = live.size() < 400 ? rng.UniformInt(0, 5) : 1;
+    for (int i = 0; i < arrivals; ++i) insert();
+    // Charges.
+    if (pass >= 40) {
+      const int charges = pass == 1500 ? 1100 : rng.UniformInt(0, 3);
+      for (int i = 0; i < charges; ++i) {
+        const double kind = rng.NextDouble();
+        if (kind < 0.1) {
+          fairshare.AddUsage(fresh_user++, 0.0, now);  // n grows, k > 1
+        } else {
+          const auto user =
+              static_cast<std::uint32_t>(rng.NextBounded(kUsers));
+          const double usage = kind < 0.25 ? 0.0 : rng.Uniform(1.0, 5e4);
+          fairshare.AddUsage(user, usage, now);
+        }
+      }
+    }
+
+    for (std::uint32_t user = 0; user < kUsers; ++user) {
+      ASSERT_GE(index.FactorBound(user, now), fairshare.Factor(user, now))
+          << "user " << user << " pass " << pass;
+    }
+    std::vector<double> expected_priorities;
+    const std::vector<JobId> expected = BruteForceOrder(
+        live, priority, fairshare, now, true, &expected_priorities);
+    std::vector<JobId> order;
+    std::vector<double> priorities;
+    auto cursor = index.Scan(now);
+    // Most passes stop after a few candidates, as the planner does; every
+    // fourth runs the full order.
+    const std::size_t take =
+        pass % 4 == 0 ? expected.size()
+                      : std::min<std::size_t>(expected.size(),
+                                              rng.NextBounded(6));
+    while (order.size() < take) {
+      const auto candidate = cursor.Next();
+      ASSERT_TRUE(candidate.has_value());
+      order.push_back(candidate->job->id);
+      priorities.push_back(candidate->priority);
+    }
+    if (take == expected.size()) {
+      ASSERT_FALSE(cursor.Next().has_value());
+    }
+    expected_priorities.resize(take);
+    ASSERT_EQ(order, std::vector<JobId>(expected.begin(),
+                                        expected.begin() +
+                                            static_cast<long>(take)))
+        << "pass " << pass;
+    for (std::size_t i = 0; i < take; ++i) {
+      ASSERT_EQ(priorities[i], expected_priorities[i])  // bitwise
+          << "pass " << pass << " rank " << i;
+    }
+    if (take < expected.size()) {
+      evals += cursor.fairshare_evals();
+      std::set<std::uint32_t> users;
+      for (const RefJob& ref : live) users.insert(ref.job.user);
+      ranked_users += users.size();
+    }
+  }
+  // The short passes evaluated a small fraction of the users they ranked.
+  EXPECT_LT(evals * 4, ranked_users) << evals << " of " << ranked_users;
+}
+
 TEST(PendingIndex, CursorPriorityIsBitwiseIdenticalToLegacyFormula) {
   MultifactorPriority priority(MultifactorWeights{}, 128);
   FairShareTracker fairshare;
@@ -128,7 +249,6 @@ TEST(PendingIndex, CursorPriorityIsBitwiseIdenticalToLegacyFormula) {
   IndexedJob job;
   job.id = 9;
   job.user = 2;
-  job.tiebreak = 0;
   job.eligible_time = 4.0;
   job.size_factor = priority.SizeFactor(32, 2);
   index.Insert(job);
@@ -151,9 +271,9 @@ TEST(PendingIndex, SameUserOrderFlipsAtAgeSaturation) {
   // A is older; B asks for more cores. Young: A's age lead wins. Once both
   // age factors pin at 1, B's size bonus wins — the growing/saturated split
   // exists precisely because this flip happens within one user's bucket.
-  IndexedJob a{/*id=*/1, /*user=*/0, /*tiebreak=*/0, 1, 60.0,
+  IndexedJob a{/*id=*/1, /*user=*/0, 1, 60.0,
                /*eligible=*/0.0, priority.SizeFactor(10, 1)};
-  IndexedJob b{/*id=*/2, /*user=*/0, /*tiebreak=*/1, 1, 60.0,
+  IndexedJob b{/*id=*/2, /*user=*/0, 1, 60.0,
                /*eligible=*/50.0, priority.SizeFactor(90, 1)};
   index.Insert(a);
   index.Insert(b);
@@ -173,7 +293,6 @@ TEST(PendingIndex, NonMultifactorModeIsPureSubmissionOrder) {
     IndexedJob job;
     job.id = id;
     job.user = static_cast<std::uint32_t>(rng.NextBounded(4));
-    job.tiebreak = id;  // insertion order
     job.eligible_time = rng.Uniform(0.0, 100.0);
     job.size_factor = rng.NextDouble();
     index.Insert(job);
@@ -325,7 +444,7 @@ PlanPair PlanBoth(const PlanState& state) {
                   std::max(0.0, state.now - job.eligible_time),
                   job.size_factor, fairshare.Factor(job.user, state.now))
             : 0.0;
-    input.tiebreak = job.tiebreak;
+    input.tiebreak = job.id;
     inputs.push_back(input);
   }
   NodeTimeline timeline;
@@ -370,7 +489,6 @@ PlanState RandomPlanState(Rng& rng, int trial) {
     IndexedJob job;
     job.id = static_cast<JobId>(i + 1);
     job.user = static_cast<std::uint32_t>(rng.NextBounded(5));
-    job.tiebreak = job.id;
     job.nodes_needed = rng.UniformInt(1, std::min(8, state.total_nodes));
     job.time_limit_s = 60.0 * rng.UniformInt(1, 8);
     job.eligible_time = 100.0 * rng.UniformInt(0, 9);
@@ -410,12 +528,10 @@ TEST(PlanScheduleIndexed, TiedReleasesReserveInJobIdOrder) {
   state.multifactor = false;
   IndexedJob head;
   head.id = 1;
-  head.tiebreak = 1;
   head.nodes_needed = 4;
   head.time_limit_s = 600.0;
   IndexedJob filler = head;
   filler.id = 2;
-  filler.tiebreak = 2;
   filler.nodes_needed = 1;
   filler.time_limit_s = 3600.0;  // ends after the shadow: needs a spare node
   state.pending = {head, filler};

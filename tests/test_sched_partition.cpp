@@ -9,7 +9,8 @@
 //   - isolation: a 100k-job backlog in one partition does not delay a lone
 //     job in a disjoint partition, and never enters its planning loop;
 //   - determinism: the schedule is bitwise identical at pool sizes 1/4/8,
-//     for both the parallel disjoint path and the serial overlap path;
+//     for both the parallel disjoint path and the serial overlap path, and
+//     for a 1,000-user drain whose shards keep fair-share bound caches;
 //   - multi-partition schedules pinned to golden digests frozen from the
 //     reference sort-everything engine (schedule_golden.hpp).
 #include <gtest/gtest.h>
@@ -273,6 +274,64 @@ TEST_F(SchedPartition, OverlapSchedulingIsPoolSizeInvariant) {
       continue;
     }
     EXPECT_EQ(schedule, reference) << "overlap pool=" << threads;
+  }
+}
+
+// Four disjoint partitions drain a 1,000-user burst: each shard's planner
+// ranks most users by fair-share bounds cached in its own index during
+// earlier passes, and writes those caches while the shards plan on pool
+// workers. The schedule must not depend on the pool size.
+TEST_F(SchedPartition, ManyUserDrainIsPoolSizeInvariant) {
+  WorkloadMix mix;
+  mix.hpcg_share = 0.0;
+  mix.wide_share = 0.2;
+  mix.wide_nodes = 2;
+  mix.users = 1000;
+  mix.duration_quantum_s = 60.0;
+  mix.seed = 4'040'404;
+  mix.partitions = {"p0", "p1", "p2", "p3"};
+  std::vector<JobRequest> backlog;
+  for (auto& job : GenerateWorkload(mix, 3000, /*max_cores=*/32, 1)) {
+    backlog.push_back(std::move(job.request));
+  }
+  ClusterConfig base;
+  base.nodes = 32;
+  base.defer_dispatch = true;
+  base.backfill_max_job_test = 100;
+  base.partitions.clear();
+  for (int p = 0; p < 4; ++p) {
+    PartitionConfig partition;
+    partition.name = "p" + std::to_string(p);
+    partition.is_default = p == 0;
+    partition.node_ranges = {{8 * p, 8 * p + 7}};
+    base.partitions.push_back(partition);
+  }
+  std::string reference;
+  for (const int threads : {1, 4, 8}) {
+    ThreadPool pool(threads);
+    ClusterConfig config = base;
+    config.pool = &pool;
+    ClusterSim cluster(config);
+    const auto ids = cluster.SubmitBatch(backlog);
+    cluster.RunUntilIdle();
+    std::string schedule;
+    for (const auto& id : ids) {
+      ASSERT_TRUE(id.ok());
+      const auto job = cluster.GetJob(*id);
+      ASSERT_TRUE(job.has_value());
+      EXPECT_EQ(job->state, JobState::kCompleted);
+      schedule += golden::RenderJob(*job);
+    }
+    // The caches did their job: far fewer factors than users x passes.
+    const SchedMetricSet& metrics = cluster.sched_metrics();
+    EXPECT_LT(metrics.fairshare_evals->Value(),
+              metrics.dispatch_calls->Value() * 100);
+    if (reference.empty()) {
+      reference = schedule;
+      continue;
+    }
+    EXPECT_EQ(golden::Digest(schedule), golden::Digest(reference))
+        << "pool=" << threads;
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -154,6 +155,48 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     }
   });
   for (const auto s : inner_sums) EXPECT_EQ(s, kInner * (kInner - 1) / 2);
+}
+
+// Process exit with helper entries still queued. ParallelForChunks queues
+// one entry per helper, and entries whose chunks the caller already ran
+// stay queued until a worker pops them, which ~ThreadPool lets the workers
+// do, each pop publishing the queue depth to the global metrics registry.
+// The registry must therefore outlive the global pool, even though the
+// pool is built first. Here every worker (and a helper thread) is held
+// inside a chunk until an atexit handler registered between the pool and
+// the registry releases them, so the workers pop the stale entries after
+// anything built after the pool has been destroyed. Under AddressSanitizer
+// a destroyed registry turns that into a use-after-free and a non-zero
+// exit.
+std::atomic<bool> g_release_workers{false};
+
+TEST(ThreadPoolDeathTest, ExitWithQueuedEmptyEntriesIsClean) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("ECO_THREADS", "4", 1);
+        ThreadPool& pool = ThreadPool::Global();
+        std::atexit([] { g_release_workers.store(true); });
+        const std::int64_t n = pool.size();
+        std::atomic<std::int64_t> held{0};
+        std::thread holder([&] {
+          pool.ParallelForChunks(0, n, 1,
+                                 [&](std::int64_t, std::int64_t, std::int64_t) {
+                                   held.fetch_add(1);
+                                   while (!g_release_workers.load()) {
+                                     std::this_thread::yield();
+                                   }
+                                 });
+        });
+        while (held.load() < n) std::this_thread::yield();
+        // Every thread is busy, so the caller runs all n chunks itself and
+        // leaves n - 1 empty entries queued.
+        pool.ParallelForChunks(0, n, 1,
+                               [](std::int64_t, std::int64_t, std::int64_t) {});
+        holder.detach();
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ThreadPool, EcoThreadsEnvControlsDefaultThreadCount) {
