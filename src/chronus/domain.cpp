@@ -21,7 +21,7 @@ Result<Configuration> Configuration::FromJson(const Json& json) {
   config.threads_per_core =
       static_cast<int>(json.at("threads_per_core").as_int(1));
   config.frequency = static_cast<KiloHertz>(json.at("frequency").as_int(0));
-  if (config.cores < 1 || config.threads_per_core < 1 || config.frequency == 0) {
+  if (!config.valid()) {
     return Result<Configuration>::Error("configuration: invalid fields in " +
                                         json.Dump());
   }

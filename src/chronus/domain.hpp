@@ -23,6 +23,10 @@ struct Configuration {
 
   [[nodiscard]] Json ToJson() const;
   static Result<Configuration> FromJson(const Json& json);
+  // What FromJson accepts: at least one core and thread, nonzero frequency.
+  [[nodiscard]] bool valid() const {
+    return cores >= 1 && threads_per_core >= 1 && frequency != 0;
+  }
 
   [[nodiscard]] bool operator==(const Configuration& other) const {
     return cores == other.cores && threads_per_core == other.threads_per_core &&

@@ -14,8 +14,10 @@ ChronusEnv MakeSimEnv(const EnvOptions& options) {
   RepositoryKind repo_kind = options.repository;
   if (workdir.empty()) {
     repo_kind = RepositoryKind::kMemory;
-    env.local = std::make_shared<EtcStorage>("/tmp/chronus-mem-etc");
-    env.blobs = std::make_shared<LocalBlobStorage>("/tmp/chronus-mem-blobs");
+    // Private directories per env, removed with it: envs built side by side
+    // (tests, benches under `ctest -j`) never see each other's files.
+    env.local = EtcStorage::Temporary();
+    env.blobs = LocalBlobStorage::Temporary();
   } else {
     EnsureDirectory(workdir);
     env.local = std::make_shared<EtcStorage>(workdir + "/etc/chronus");

@@ -25,7 +25,8 @@ enum class RepositoryKind { kMemory, kMiniDb, kCsv };
 
 struct EnvOptions {
   // Root directory for all on-disk state (settings, blobs, database). Empty
-  // = fully in-memory where possible (repository forced to kMemory).
+  // = fully in-memory where possible (repository forced to kMemory; settings
+  // and blobs in private temp directories removed with the env).
   std::string workdir;
   RepositoryKind repository = RepositoryKind::kMemory;
   slurm::ClusterConfig cluster{};

@@ -7,6 +7,7 @@
 // Storage, System Service, System Info, File Repository.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -121,11 +122,29 @@ class SystemInfoInterface {
 };
 
 // ----- Local Storage: settings + pre-loaded model files (ETC storage).
+
+// What `stat` says about a stored file: enough to tell, without reading it,
+// that the file is not the one read before. Every save replaces the file
+// (write a temp file, rename it over), so a save moves at least the inode
+// and the ctime. A missing file is the all-zero identity.
+struct FileIdentity {
+  std::uint64_t dev = 0;
+  std::uint64_t ino = 0;
+  std::int64_t size = 0;
+  std::int64_t mtime_ns = 0;
+  std::int64_t ctime_ns = 0;
+
+  [[nodiscard]] bool operator==(const FileIdentity&) const = default;
+};
+
 class LocalStorageInterface {
  public:
   virtual ~LocalStorageInterface() = default;
   virtual Result<Json> LoadSettings() = 0;
   virtual Status SaveSettings(const Json& settings) = 0;
+  // One `stat` of the settings file: no read, no parse, no allocation.
+  // Errors only when the file exists but cannot be examined.
+  virtual Result<FileIdentity> SettingsIdentity() = 0;
   // Resolves a relative name into a full path under the storage root.
   [[nodiscard]] virtual std::string ResolvePath(const std::string& name) const = 0;
   virtual Status WriteFile(const std::string& name, const std::string& data) = 0;

@@ -282,9 +282,13 @@ Json RandomForestOptimizer::Serialize() const { return model_.ToJson(); }
 Status RandomForestOptimizer::Deserialize(const Json& json) {
   auto loaded = ml::RandomForest::FromJson(json);
   if (!loaded.ok()) return loaded.status();
-  model_ = std::move(loaded.value());
-  RecompileModel();
+  Adopt(std::move(loaded.value()));
   return Status::Ok();
+}
+
+void RandomForestOptimizer::Adopt(ml::RandomForest forest) {
+  model_ = std::move(forest);
+  RecompileModel();
 }
 
 // ----------------------------------------------------------- ModelFactory

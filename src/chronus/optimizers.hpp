@@ -107,6 +107,11 @@ class RandomForestOptimizer : public OptimizerInterface {
   [[nodiscard]] Json Serialize() const override;
   Status Deserialize(const Json& json) override;
 
+  // Takes an already-loaded forest (the pre-loaded model image) and
+  // compiles it, as Deserialize does for JSON.
+  void Adopt(ml::RandomForest forest);
+  [[nodiscard]] const ml::RandomForest& model() const { return model_; }
+
  private:
   // Flattens model_ into the SoA engine; on the (never expected) compile
   // failure the optimizer falls back to the pointer walk.

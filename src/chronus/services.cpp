@@ -4,12 +4,14 @@
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
+#include "chronus/model_image.hpp"
 #include "chronus/optimizers.hpp"
 
 namespace eco::chronus {
 namespace {
 
 constexpr const char* kPreloadedKey = "preloaded_models";
+constexpr const char* kImagesKey = "preloaded_images";
 
 std::string PreloadKey(const std::string& system_hash,
                        const std::string& binary_hash) {
@@ -203,12 +205,27 @@ Result<std::string> LoadModelService::Run(int model_id) {
 
   auto system = repository_->GetSystem(meta->system_id);
   if (!system.ok()) return Result<std::string>::Error(system.message());
+  const std::vector<Configuration> all = system->AllConfigurations();
+  const std::string stem = "preloaded-model-" + std::to_string(model_id);
+
+  // A random-tree model also gets the binary image the predict path reads
+  // first; the envelope is unpacked once, here, instead of in every process
+  // that predicts.
+  std::string image_name;
+  if (envelope->at("type").is_string() &&
+      envelope->at("type").as_string() == RandomForestOptimizer::Name()) {
+    auto forest = ml::RandomForest::FromJson(envelope->at("payload"));
+    if (!forest.ok()) return Result<std::string>::Error(forest.message());
+    image_name = stem + ".img";
+    const Status imaged = local_->WriteFile(
+        image_name, EncodeModelImage(system->system_hash, meta->binary_hash,
+                                     all, *forest));
+    if (!imaged.ok()) return Result<std::string>::Error(imaged.message());
+  }
 
   // Self-contained local file: the predict path must not need the database.
   JsonArray candidates;
-  for (const Configuration& c : system->AllConfigurations()) {
-    candidates.push_back(c.ToJson());
-  }
+  for (const Configuration& c : all) candidates.push_back(c.ToJson());
   JsonObject local_file;
   local_file["model"] = std::move(*envelope);
   local_file["candidates"] = std::move(candidates);
@@ -216,17 +233,26 @@ Result<std::string> LoadModelService::Run(int model_id) {
   local_file["binary_hash"] = meta->binary_hash;
   local_file["model_id"] = meta->id;
 
-  const std::string name = "preloaded-model-" + std::to_string(model_id) + ".json";
+  const std::string name = stem + ".json";
   const Status written = local_->WriteFile(name, Json(std::move(local_file)).Dump());
   if (!written.ok()) return Result<std::string>::Error(written.message());
 
-  // Index it in settings.
+  // Index both in settings. A model without an image drops the key's old
+  // image entry, so the predict path never serves a replaced model.
   auto settings = local_->LoadSettings();
   if (!settings.ok()) return Result<std::string>::Error(settings.message());
+  const std::string key = PreloadKey(system->system_hash, meta->binary_hash);
   JsonObject root = settings->as_object();
   JsonObject preloaded = root[kPreloadedKey].as_object();
-  preloaded[PreloadKey(system->system_hash, meta->binary_hash)] = name;
+  preloaded[key] = name;
   root[kPreloadedKey] = Json(std::move(preloaded));
+  JsonObject images = root[kImagesKey].as_object();
+  if (image_name.empty()) {
+    images.erase(key);
+  } else {
+    images[key] = image_name;
+  }
+  root[kImagesKey] = Json(std::move(images));
   const Status saved = local_->SaveSettings(Json(std::move(root)));
   if (!saved.ok()) return Result<std::string>::Error(saved.message());
 
@@ -239,44 +265,82 @@ Result<std::string> LoadModelService::Run(int model_id) {
 SlurmConfigService::SlurmConfigService(LocalStoragePtr local)
     : local_(std::move(local)) {}
 
-Result<const SlurmConfigService::CachedModel*> SlurmConfigService::GetModel(
+void SlurmConfigService::ClearCache() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  cache_.clear();
+}
+
+Result<SlurmConfigService::ModelPtr> SlurmConfigService::LoadImage(
+    const std::string& key, const std::string& system_hash,
+    const std::string& binary_hash, const std::string& name) {
+  using R = Result<ModelPtr>;
+  auto bytes = local_->ReadFile(name);
+  if (!bytes.ok()) return R::Error(bytes.message());
+  auto image = DecodeModelImage(*bytes);
+  if (!image.ok()) return R::Error(image.message());
+  if (image->system_hash != system_hash || image->binary_hash != binary_hash) {
+    return R::Error("model image: hashes do not match " + key);
+  }
+  auto optimizer = std::make_shared<RandomForestOptimizer>();
+  optimizer->Adopt(std::move(image->forest));
+  auto model = std::make_shared<CachedModel>();
+  model->key = key;
+  model->optimizer = std::move(optimizer);
+  model->candidates = std::move(image->candidates);
+  return ModelPtr(std::move(model));
+}
+
+Result<SlurmConfigService::ModelPtr> SlurmConfigService::LoadJson(
+    const std::string& key, const std::string& name) {
+  using R = Result<ModelPtr>;
+  auto text = local_->ReadFile(name);
+  if (!text.ok()) return R::Error(text.message());
+  auto file = Json::Parse(*text);
+  if (!file.ok()) return R::Error(file.message());
+
+  auto optimizer = ModelFactory::Unpack(file->at("model"));
+  if (!optimizer.ok()) return R::Error(optimizer.message());
+  auto model = std::make_shared<CachedModel>();
+  model->key = key;
+  model->optimizer = *optimizer;
+  for (const auto& c : file->at("candidates").as_array()) {
+    auto config = Configuration::FromJson(c);
+    if (config.ok()) model->candidates.push_back(*config);
+  }
+  if (model->candidates.empty()) {
+    return R::Error("slurm-config: pre-loaded file has no candidates");
+  }
+  return ModelPtr(std::move(model));
+}
+
+Result<SlurmConfigService::ModelPtr> SlurmConfigService::GetModel(
     const std::string& system_hash, const std::string& binary_hash) {
+  using R = Result<ModelPtr>;
   const std::string key = PreloadKey(system_hash, binary_hash);
+  std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& cached : cache_) {
-    if (cached.key == key) return &cached;
+    if (cached->key == key) return cached;
   }
 
   auto settings = local_->LoadSettings();
-  if (!settings.ok()) {
-    return Result<const CachedModel*>::Error(settings.message());
+  if (!settings.ok()) return R::Error(settings.message());
+  // Fallback order: the binary image, then the JSON file.
+  Result<ModelPtr> model = R::Error("slurm-config: no pre-loaded model for " + key);
+  const Json& image = settings->at(kImagesKey).at(key);
+  if (image.is_string()) {
+    model = LoadImage(key, system_hash, binary_hash, image.as_string());
+    if (!model.ok()) {
+      ECO_WARN << "slurm-config: " << model.message()
+               << "; falling back to the JSON model file";
+    }
   }
   const Json& entry = settings->at(kPreloadedKey).at(key);
-  if (!entry.is_string()) {
-    return Result<const CachedModel*>::Error(
-        "slurm-config: no pre-loaded model for " + key);
+  if (!model.ok() && entry.is_string()) {
+    model = LoadJson(key, entry.as_string());
   }
-  auto text = local_->ReadFile(entry.as_string());
-  if (!text.ok()) return Result<const CachedModel*>::Error(text.message());
-  auto file = Json::Parse(*text);
-  if (!file.ok()) return Result<const CachedModel*>::Error(file.message());
-
-  auto optimizer = ModelFactory::Unpack(file->at("model"));
-  if (!optimizer.ok()) {
-    return Result<const CachedModel*>::Error(optimizer.message());
-  }
-  CachedModel cached;
-  cached.key = key;
-  cached.optimizer = *optimizer;
-  for (const auto& c : file->at("candidates").as_array()) {
-    auto config = Configuration::FromJson(c);
-    if (config.ok()) cached.candidates.push_back(*config);
-  }
-  if (cached.candidates.empty()) {
-    return Result<const CachedModel*>::Error(
-        "slurm-config: pre-loaded file has no candidates");
-  }
-  cache_.push_back(std::move(cached));
-  return &cache_.back();
+  if (!model.ok()) return model;
+  cache_.push_back(*model);
+  return model;
 }
 
 Result<Configuration> SlurmConfigService::Predict(
@@ -324,10 +388,35 @@ bool ParsePluginState(const std::string& name, PluginState& out) {
 SettingsService::SettingsService(LocalStoragePtr local)
     : local_(std::move(local)) {}
 
-Result<Json> SettingsService::Load() { return local_->LoadSettings(); }
+void SettingsService::Refresh(const Result<FileIdentity>& identity) {
+  // The identity was taken before the read: with atomic saves the content
+  // read is at least as new as it, so a save racing a refresh costs one more
+  // re-read later, never a stale snapshot.
+  if (identity.ok() && snapshot_.identity == *identity) return;
+  // An unstattable file is never cached.
+  snapshot_.identity.reset();
+  if (identity.ok()) snapshot_.identity = *identity;
+  snapshot_.settings = local_->LoadSettings();
+  snapshot_.state = PluginState::kUser;  // the paper's default: opt-in
+  if (snapshot_.settings.ok() && snapshot_.settings->at("state").is_string()) {
+    ParsePluginState(snapshot_.settings->at("state").as_string(),
+                     snapshot_.state);
+  }
+}
 
-Status SettingsService::Store(const Json& settings) {
-  return local_->SaveSettings(settings);
+Result<Json> SettingsService::Load() {
+  const Result<FileIdentity> identity = local_->SettingsIdentity();
+  std::lock_guard<std::mutex> lock(mutex_);
+  Refresh(identity);
+  return snapshot_.settings;
+}
+
+Status SettingsService::Set(const std::string& key, const std::string& value) {
+  auto settings = Load();
+  if (!settings.ok()) return settings.status();
+  JsonObject root = settings->as_object();
+  root[key] = value;
+  return local_->SaveSettings(Json(std::move(root)));
 }
 
 Result<std::string> SettingsService::GetDatabasePath() {
@@ -337,11 +426,7 @@ Result<std::string> SettingsService::GetDatabasePath() {
 }
 
 Status SettingsService::SetDatabasePath(const std::string& path) {
-  auto settings = Load();
-  if (!settings.ok()) return settings.status();
-  JsonObject root = settings->as_object();
-  root["database"] = path;
-  return Store(Json(std::move(root)));
+  return Set("database", path);
 }
 
 Result<std::string> SettingsService::GetBlobStoragePath() {
@@ -351,28 +436,19 @@ Result<std::string> SettingsService::GetBlobStoragePath() {
 }
 
 Status SettingsService::SetBlobStoragePath(const std::string& path) {
-  auto settings = Load();
-  if (!settings.ok()) return settings.status();
-  JsonObject root = settings->as_object();
-  root["blob_storage"] = path;
-  return Store(Json(std::move(root)));
+  return Set("blob_storage", path);
 }
 
 PluginState SettingsService::GetState() {
-  auto settings = Load();
-  PluginState state = PluginState::kUser;  // the paper's default: opt-in
-  if (settings.ok() && settings->at("state").is_string()) {
-    ParsePluginState(settings->at("state").as_string(), state);
-  }
-  return state;
+  // The stat runs outside the lock, so concurrent submitters overlap it.
+  const Result<FileIdentity> identity = local_->SettingsIdentity();
+  std::lock_guard<std::mutex> lock(mutex_);
+  Refresh(identity);
+  return snapshot_.state;
 }
 
 Status SettingsService::SetState(PluginState state) {
-  auto settings = Load();
-  if (!settings.ok()) return settings.status();
-  JsonObject root = settings->as_object();
-  root["state"] = PluginStateName(state);
-  return Store(Json(std::move(root)));
+  return Set("state", PluginStateName(state));
 }
 
 // --------------------------------------------------------- DeadlineService

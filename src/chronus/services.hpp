@@ -10,6 +10,7 @@
 // injected at the entry point (Dependency Inversion, §4.1).
 #pragma once
 
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,7 +79,9 @@ class LoadModelService {
   // it in settings under "<system_hash>:<binary_hash>" so the predict path
   // never touches the database (§3.1.2 "Pre-load model"). Returns the local
   // file path. The local file is self-contained: model envelope + the
-  // system's candidate configurations.
+  // system's candidate configurations. A random-tree model also gets a
+  // binary image beside it (chronus/model_image.hpp), indexed under
+  // "preloaded_images".
   Result<std::string> Run(int model_id);
 
  private:
@@ -93,8 +96,9 @@ class SlurmConfigService {
 
   // The plugin-facing fast path: `chronus slurm-config SYSTEM_HASH
   // BINARY_HASH` returning the configuration JSON (§3.3). Reads only local
-  // storage; deserialized models are cached in memory because Slurm gives a
-  // submit plugin very little time (§3.1.2).
+  // storage — the binary model image when there is one, else the JSON file
+  // — and caches the loaded model in memory, because Slurm gives a submit
+  // plugin very little time (§3.1.2). Thread-safe.
   Result<std::string> Run(const std::string& system_hash,
                           const std::string& binary_hash);
 
@@ -102,11 +106,11 @@ class SlurmConfigService {
   Result<Configuration> Predict(const std::string& system_hash,
                                 const std::string& binary_hash);
 
-  void ClearCache() { cache_.clear(); }
+  void ClearCache();
 
  private:
   // One entry per (system_hash, binary_hash). For a random-tree model the
-  // optimizer carries its CompiledForest (built during Unpack/Deserialize),
+  // optimizer carries its CompiledForest (built when the model is loaded),
   // so the flattening cost is paid once on the miss path and every
   // subsequent BestConfiguration sweep runs the batched SoA engine.
   struct CachedModel {
@@ -114,11 +118,19 @@ class SlurmConfigService {
     OptimizerPtr optimizer;
     std::vector<Configuration> candidates;
   };
-  Result<const CachedModel*> GetModel(const std::string& system_hash,
-                                      const std::string& binary_hash);
+  using ModelPtr = std::shared_ptr<const CachedModel>;
+  Result<ModelPtr> GetModel(const std::string& system_hash,
+                            const std::string& binary_hash);
+  // The two loaders GetModel tries, in order; `name` is the settings entry.
+  Result<ModelPtr> LoadImage(const std::string& key,
+                             const std::string& system_hash,
+                             const std::string& binary_hash,
+                             const std::string& name);
+  Result<ModelPtr> LoadJson(const std::string& key, const std::string& name);
 
   LocalStoragePtr local_;
-  std::vector<CachedModel> cache_;
+  std::mutex mutex_;  // guards cache_; predictions run outside it
+  std::vector<ModelPtr> cache_;
 };
 
 // Plugin activation state (`chronus set state ...`, §3.3): "user" applies
@@ -129,6 +141,12 @@ enum class PluginState { kActive, kUser, kDeactivated };
 const char* PluginStateName(PluginState s);
 bool ParsePluginState(const std::string& name, PluginState& out);
 
+// Answers from memory: the parsed settings are kept with the FileIdentity
+// they were read at, and each call makes one `stat` (SettingsIdentity) and
+// re-reads only when the identity moved. That one check covers every writer
+// — this service, LoadModelService, `chronus set` in another process — with
+// no invalidation hook. Thread-safe: concurrent submitters share the
+// snapshot under a mutex (DESIGN.md "Chronus local storage").
 class SettingsService {
  public:
   explicit SettingsService(LocalStoragePtr local);
@@ -137,13 +155,25 @@ class SettingsService {
   Status SetDatabasePath(const std::string& path);
   Result<std::string> GetBlobStoragePath();
   Status SetBlobStoragePath(const std::string& path);
+  // Steady state: one stat, no read, parse or allocation.
   [[nodiscard]] PluginState GetState();
   Status SetState(PluginState state);
 
  private:
+  struct Snapshot {
+    std::optional<FileIdentity> identity;  // empty: re-read on the next call
+    Result<Json> settings = Json(JsonObject{});
+    PluginState state = PluginState::kUser;
+  };
+  // Re-reads the file unless `identity` is the snapshot's; caller holds
+  // mutex_.
+  void Refresh(const Result<FileIdentity>& identity);
   Result<Json> Load();
-  Status Store(const Json& settings);
+  Status Set(const std::string& key, const std::string& value);
+
   LocalStoragePtr local_;
+  std::mutex mutex_;
+  Snapshot snapshot_;
 };
 
 // §6.2.1: deadline-aware configuration choice. Uses measured durations from

@@ -196,6 +196,7 @@ Result<RegressionTree> RegressionTree::FromJson(const Json& json) {
   params.max_features = static_cast<int>(json.at("max_features").as_int(0));
   RegressionTree tree(params);
   const auto& nodes = json.at("nodes").as_array();
+  tree.nodes_.reserve(nodes.size());
   for (const auto& n : nodes) {
     Node node;
     node.feature = static_cast<int>(n.at("f").as_int(-1));
@@ -203,47 +204,53 @@ Result<RegressionTree> RegressionTree::FromJson(const Json& json) {
     node.value = n.at("v").as_number();
     node.left = static_cast<std::int32_t>(n.at("l").as_int(-1));
     node.right = static_cast<std::int32_t>(n.at("r").as_int(-1));
+    tree.nodes_.push_back(node);
+  }
+  const Status valid = tree.Validate();
+  if (!valid.ok()) return Result<RegressionTree>::Error(valid.message());
+  return tree;
+}
+
+Status RegressionTree::Validate() const {
+  if (nodes_.empty()) return Status::Error("tree: no nodes");
+  const auto limit = static_cast<std::int64_t>(nodes_.size());
+  for (const Node& node : nodes_) {
     // -1 marks a leaf; anything else negative is corruption, and the upper
     // bound keeps every accepted model flattenable into the compiled
     // engine's int16 feature slot (ml/forest_inference).
     if (node.feature < -1 ||
         node.feature > std::numeric_limits<std::int16_t>::max()) {
-      return Result<RegressionTree>::Error("tree: feature index out of range");
+      return Status::Error("tree: feature index out of range");
     }
-    const auto limit = static_cast<std::int32_t>(nodes.size());
     if (node.feature >= 0 &&
         (node.left < 0 || node.left >= limit || node.right < 0 ||
          node.right >= limit)) {
-      return Result<RegressionTree>::Error("tree: corrupt child index");
+      return Status::Error("tree: corrupt child index");
     }
-    tree.nodes_.push_back(node);
-  }
-  if (tree.nodes_.empty()) {
-    return Result<RegressionTree>::Error("tree: no nodes");
   }
   // Topology check, BFS from the root: a child reached twice means a cycle
   // or converging links (Predict could loop forever), and a node never
   // reached is dead weight no serializer of ours emits — both reject rather
   // than risk a malformed model artifact steering submit-time decisions.
-  std::vector<char> seen(tree.nodes_.size(), 0);
+  std::vector<char> seen(nodes_.size(), 0);
   seen[0] = 1;
   std::vector<std::int32_t> queue{0};
+  queue.reserve(nodes_.size());
   for (std::size_t q = 0; q < queue.size(); ++q) {
-    const Node& node = tree.nodes_[static_cast<std::size_t>(queue[q])];
+    const Node& node = nodes_[static_cast<std::size_t>(queue[q])];
     if (node.feature < 0) continue;
     for (const std::int32_t child : {node.left, node.right}) {
       if (seen[static_cast<std::size_t>(child)] != 0) {
-        return Result<RegressionTree>::Error(
-            "tree: cyclic or converging node links");
+        return Status::Error("tree: cyclic or converging node links");
       }
       seen[static_cast<std::size_t>(child)] = 1;
       queue.push_back(child);
     }
   }
-  if (queue.size() != tree.nodes_.size()) {
-    return Result<RegressionTree>::Error("tree: unreachable nodes");
+  if (queue.size() != nodes_.size()) {
+    return Status::Error("tree: unreachable nodes");
   }
-  return tree;
+  return Status::Ok();
 }
 
 }  // namespace eco::ml

@@ -42,8 +42,10 @@ class RegressionTree {
   static Result<RegressionTree> FromJson(const Json& json);
 
  private:
-  // CompiledForest flattens nodes_ into its SoA arrays (ml/forest_inference).
+  // CompiledForest flattens nodes_ into its SoA arrays (ml/forest_inference);
+  // RandomForest writes and reads them as a binary image.
   friend class CompiledForest;
+  friend class RandomForest;
 
   struct Node {
     // Leaf iff feature < 0.
@@ -53,6 +55,11 @@ class RegressionTree {
     std::int32_t left = -1;
     std::int32_t right = -1;
   };
+
+  // The checks every loaded tree passes (FromJson, the forest image): at
+  // least one node, feature indices in [-1, int16 max], split children in
+  // range, and every node reached exactly once from the root.
+  [[nodiscard]] Status Validate() const;
 
   std::int32_t Build(const Dataset& data, std::vector<std::size_t>& idx,
                      std::size_t begin, std::size_t end, int depth, Rng* rng);

@@ -138,4 +138,116 @@ Result<RandomForest> RandomForest::FromJson(const Json& json) {
   return forest;
 }
 
+void RandomForest::AppendImage(std::string* out) const {
+  ImageWriter w(out);
+  w.Put(static_cast<std::int32_t>(params_.trees));
+  w.Put(static_cast<std::uint64_t>(params_.seed));
+  w.Put(params_.bootstrap_fraction);
+  w.Put(oob_r2_);
+  w.Put(static_cast<std::uint32_t>(trees_.size()));
+  std::uint32_t root = 0;
+  for (const auto& tree : trees_) {
+    w.Put(static_cast<std::int32_t>(tree.params_.max_depth));
+    w.Put(static_cast<std::int32_t>(tree.params_.min_samples_leaf));
+    w.Put(static_cast<std::int32_t>(tree.params_.min_samples_split));
+    w.Put(static_cast<std::int32_t>(tree.params_.max_features));
+    w.Put(root);
+    w.Put(static_cast<std::uint32_t>(tree.nodes_.size()));
+    root += static_cast<std::uint32_t>(tree.nodes_.size());
+  }
+  std::vector<std::int32_t> feature, left, right;
+  std::vector<double> threshold, value;
+  for (const auto& tree : trees_) {
+    for (const auto& node : tree.nodes_) {
+      feature.push_back(node.feature);
+      threshold.push_back(node.threshold);
+      value.push_back(node.value);
+      left.push_back(node.left);
+      right.push_back(node.right);
+    }
+  }
+  w.Put(root);  // total nodes
+  w.PutArray(feature);
+  w.PutArray(threshold);
+  w.PutArray(value);
+  w.PutArray(left);
+  w.PutArray(right);
+}
+
+Result<RandomForest> RandomForest::FromImage(ImageReader& in) {
+  using R = Result<RandomForest>;
+  RandomForest forest;
+  std::int32_t trees_requested = 0;
+  std::uint64_t seed = 0;
+  std::uint32_t tree_count = 0;
+  if (!in.Get(&trees_requested) || !in.Get(&seed) ||
+      !in.Get(&forest.params_.bootstrap_fraction) ||
+      !in.Get(&forest.oob_r2_) || !in.Get(&tree_count)) {
+    return R::Error("forest image: truncated header");
+  }
+  forest.params_.trees = trees_requested;
+  forest.params_.seed = seed;
+  if (tree_count == 0) return R::Error("forest image: no trees");
+  struct TreeEntry {
+    std::int32_t params[4];
+    std::uint32_t root;
+    std::uint32_t nodes;
+  };
+  if (!in.Fits(tree_count, sizeof(TreeEntry))) {
+    return R::Error("forest image: tree table larger than the image");
+  }
+  std::vector<TreeEntry> table(tree_count);
+  for (TreeEntry& e : table) {
+    for (std::int32_t& p : e.params) in.Get(&p);
+    in.Get(&e.root);
+    in.Get(&e.nodes);
+  }
+  std::uint32_t total = 0;
+  constexpr std::size_t kNodeBytes = 2 * sizeof(double) + 3 * sizeof(std::int32_t);
+  if (!in.Get(&total) || !in.Fits(total, kNodeBytes)) {
+    return R::Error("forest image: node arrays larger than the image");
+  }
+  if (tree_count > total) return R::Error("forest image: a tree without nodes");
+  std::vector<std::int32_t> feature, left, right;
+  std::vector<double> threshold, value;
+  in.GetArray(total, &feature);
+  in.GetArray(total, &threshold);
+  in.GetArray(total, &value);
+  in.GetArray(total, &left);
+  in.GetArray(total, &right);
+
+  // Trees own consecutive node ranges: each root is where the previous tree
+  // ended, and the ranges cover the arrays exactly.
+  std::uint64_t next = 0;
+  forest.trees_.reserve(tree_count);
+  for (const TreeEntry& e : table) {
+    if (e.root != next || e.nodes == 0 ||
+        static_cast<std::uint64_t>(e.root) + e.nodes > total) {
+      return R::Error("forest image: tree root or node range out of bounds");
+    }
+    TreeParams params;
+    params.max_depth = e.params[0];
+    params.min_samples_leaf = e.params[1];
+    params.min_samples_split = e.params[2];
+    params.max_features = e.params[3];
+    RegressionTree tree(params);
+    tree.nodes_.resize(e.nodes);
+    for (std::uint32_t i = 0; i < e.nodes; ++i) {
+      RegressionTree::Node& node = tree.nodes_[i];
+      const std::size_t g = e.root + i;
+      node.feature = feature[g];
+      node.threshold = threshold[g];
+      node.value = value[g];
+      node.left = left[g];
+      node.right = right[g];
+    }
+    const Status valid = tree.Validate();
+    if (!valid.ok()) return R::Error("forest image: " + valid.message());
+    forest.trees_.push_back(std::move(tree));
+    next += e.nodes;
+  }
+  if (next != total) return R::Error("forest image: nodes outside every tree");
+  return forest;
+}
+
 }  // namespace eco::ml

@@ -12,6 +12,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/byte_image.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -45,6 +46,15 @@ class RandomForest {
 
   [[nodiscard]] Json ToJson() const;
   static Result<RandomForest> FromJson(const Json& json);
+
+  // Binary image of the fitted forest, appended to `out`: the fit params,
+  // a per-tree table {tree params, root, node count} and one forest-wide
+  // array per node field (layout table in DESIGN.md "Chronus local
+  // storage"). FromImage reads one back, bit for bit what AppendImage was
+  // given, and runs the same per-tree checks as FromJson; counts are
+  // checked against the bytes left before anything is allocated.
+  void AppendImage(std::string* out) const;
+  static Result<RandomForest> FromImage(ImageReader& in);
 
  private:
   // CompiledForest flattens trees_ into its SoA arrays (ml/forest_inference).
